@@ -47,7 +47,9 @@ type Accessor interface {
 	// the receive callback. It returns the payload to pass up and
 	// false, or consumed=true to swallow a MAC-level control frame
 	// (polls never reach the TNC). The frame slice is shared — slice
-	// it, do not mutate it.
+	// it, do not mutate it. The payload goes up as is when damaged: a
+	// read-only view that no one may retain or mutate. An intact
+	// payload is copied, and the copy is owned by the receiver.
 	Deliver(t *Transceiver, frame []byte, damaged bool) (payload []byte, consumed bool)
 
 	// KeyUp is the channel-wide carrier-edge hook: sender just keyed
@@ -110,7 +112,7 @@ func (csmaAccessor) ParamsChanged(t *Transceiver, old Params) {
 	}
 	t.slot = now
 	t.ch.sched.Cancel(t.wake)
-	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlot)
+	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlotFn)
 }
 
 func (csmaAccessor) Deliver(_ *Transceiver, frame []byte, _ bool) ([]byte, bool) {
@@ -208,9 +210,7 @@ func (t *Transceiver) TakeQueued() ([]byte, bool) {
 	if len(t.queue) == 0 {
 		return nil, false
 	}
-	f := t.queue[0]
-	t.queue = t.queue[1:]
-	return f, true
+	return t.popQueue(), true
 }
 
 // RequeueHead puts a frame taken with TakeQueued back at the head of

@@ -120,9 +120,19 @@ type Channel struct {
 	// leaves on key-up or Retune, and is re-resolved on carrier edges.
 	waiters []*Transceiver
 
-	// unreachable holds ordered pairs (from,to) that cannot hear each
-	// other. Default (empty) is full mesh.
-	unreachable map[[2]*Transceiver]bool
+	// Station slots and hearer bitsets (DESIGN.md §3c). Every
+	// transceiver this channel has ever seen holds a slot for the
+	// channel's lifetime (slots, consulted only when a station or a
+	// reachability pair is named from outside). hear[s] is the bitset of
+	// slots that hear sender slot s — the only copy of reachability,
+	// full mesh by default — and present marks the slots attached now.
+	// Every bitset is len(present) words wide.
+	slots   map[*Transceiver]int
+	hear    [][]uint64
+	present []uint64
+
+	// txFree pools transmission records, damage bitsets included.
+	txFree []*transmission
 
 	// accs are the distinct channel-access policies in use by attached
 	// stations (refcounted in accRef), in first-arrival order; carrier
@@ -145,10 +155,10 @@ func NewChannel(sched *sim.Scheduler, bitRate int) *Channel {
 		bitRate = DefaultBitRate
 	}
 	return &Channel{
-		sched:       sched,
-		BitRate:     bitRate,
-		DCDDelay:    DefaultDCDDelay,
-		unreachable: make(map[[2]*Transceiver]bool),
+		sched:    sched,
+		BitRate:  bitRate,
+		DCDDelay: DefaultDCDDelay,
+		slots:    make(map[*Transceiver]int),
 	}
 }
 
@@ -163,7 +173,12 @@ func (c *Channel) AirTime(n int) time.Duration {
 // SetReachable declares whether transmissions from a are audible at b
 // (directed). All pairs start reachable.
 func (c *Channel) SetReachable(from, to *Transceiver, ok bool) {
-	c.unreachable[[2]*Transceiver{from, to}] = !ok
+	row, r := c.hear[c.slotOf(from)], c.slotOf(to)
+	if ok {
+		row[r>>6] |= 1 << (r & 63)
+	} else {
+		row[r>>6] &^= 1 << (r & 63)
+	}
 	// Audibility is part of the carrier schedule: a waiter deferring to
 	// a transmission it can no longer hear may move its wake earlier
 	// (and one that just started hearing an active carrier, later).
@@ -172,9 +187,51 @@ func (c *Channel) SetReachable(from, to *Transceiver, ok bool) {
 	}
 }
 
-func (c *Channel) reachable(from, to *Transceiver) bool {
-	return !c.unreachable[[2]*Transceiver{from, to}]
+// slotOf returns t's slot on c, assigning the next one — heard by and
+// hearing every slot — the first time c sees t.
+func (c *Channel) slotOf(t *Transceiver) int {
+	if s, ok := c.slots[t]; ok {
+		return s
+	}
+	s := len(c.hear)
+	c.slots[t] = s
+	if s%64 == 0 {
+		// Widen every bitset by one word.
+		for i := range c.hear {
+			c.hear[i] = append(c.hear[i], 0)
+		}
+		for _, tx := range c.active {
+			tx.damaged = append(tx.damaged, 0)
+		}
+		c.present = append(c.present, 0)
+	}
+	c.hear = append(c.hear, make([]uint64, len(c.present)))
+	c.healSlot(s)
+	return s
 }
+
+// healSlot restores slot s to the full-mesh default: s hears and is
+// heard by every slot, itself included. (Row bits past the last slot
+// are never read, and a new slot sets its own column.)
+func (c *Channel) healSlot(s int) {
+	row := c.hear[s]
+	for w := range row {
+		row[w] = ^uint64(0)
+	}
+	for _, r := range c.hear {
+		r[s>>6] |= 1 << (s & 63)
+	}
+}
+
+// join attaches t to c's station list under its slot.
+func (c *Channel) join(t *Transceiver) {
+	t.idx = c.slotOf(t)
+	c.present[t.idx>>6] |= 1 << (t.idx & 63)
+	c.stations = append(c.stations, t)
+}
+
+// has reports whether bit i of b is set.
+func has(b []uint64, i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
 // Utilization reports total transmit airtime divided by elapsed time.
 // Overlapping (colliding) transmissions both count, so values can
@@ -216,14 +273,42 @@ func (c *Channel) removeWaiter(t *Transceiver) {
 	}
 }
 
+// transmission is one keyed-up frame. Records are pooled on the
+// channel (newTransmission/release), each with its completion callback
+// bound once.
 type transmission struct {
 	sender     *Transceiver
+	from       int // sender's slot
 	frame      []byte
 	control    bool // MAC control frame (poll), for overhead accounting
 	start, end sim.Time
 	done       *sim.Event // delivery at end-of-frame; cancelled by Retune
-	// damagedAt marks receivers whose copy is destroyed by overlap.
-	damagedAt map[*Transceiver]bool
+	complete   func()     // c.complete of this record
+	// damaged is the bitset of receiver slots whose copy is destroyed
+	// by overlap.
+	damaged []uint64
+}
+
+func (c *Channel) newTransmission() *transmission {
+	if n := len(c.txFree); n > 0 {
+		tx := c.txFree[n-1]
+		c.txFree = c.txFree[:n-1]
+		for len(tx.damaged) < len(c.present) {
+			tx.damaged = append(tx.damaged, 0)
+		}
+		return tx
+	}
+	tx := &transmission{damaged: make([]uint64, len(c.present))}
+	tx.complete = func() { c.complete(tx) }
+	return tx
+}
+
+// release returns a finished or cut record to the pool. The frame is
+// dropped, not recycled: damaged receivers were handed views of it.
+func (c *Channel) release(tx *transmission) {
+	clear(tx.damaged)
+	tx.sender, tx.frame, tx.done = nil, nil, nil
+	c.txFree = append(c.txFree, tx)
 }
 
 func (t *transmission) overlaps(u *transmission) bool {
@@ -330,6 +415,7 @@ type Transceiver struct {
 	TraceMAC func(event string, frame []byte, deferrals uint64)
 
 	ch  *Channel
+	idx int // slot on ch
 	rx  func(frame []byte, damaged bool)
 	acc Accessor // channel-access policy; csma unless SetAccessor replaced it
 
@@ -357,8 +443,11 @@ type Transceiver struct {
 	// channel wait-list. Invariant: every grid slot that passes while
 	// the wake is pending was carrier-busy, so the stretch
 	// [slot, wakeTime) settles as deferrals when the wake fires.
-	slot sim.Time
-	wake *sim.Event
+	// onSlotFn is t.onSlot, bound once at Attach so arming a wake
+	// allocates nothing.
+	slot     sim.Time
+	wake     *sim.Event
+	onSlotFn func()
 
 	transmitting   bool
 	txStart, txEnd sim.Time
@@ -374,7 +463,8 @@ func (c *Channel) Attach(name string, params Params) *Transceiver {
 		csmaRng:  rand.New(rand.NewSource(c.sched.DeriveSeed())),
 		noiseRng: rand.New(rand.NewSource(c.sched.DeriveSeed())),
 	}
-	c.stations = append(c.stations, t)
+	t.onSlotFn = t.onSlot
+	c.join(t)
 	c.addAccessor(t.acc)
 	return t
 }
@@ -404,6 +494,7 @@ func (t *Transceiver) Retune(to *Channel) {
 			break
 		}
 	}
+	old.present[t.idx>>6] &^= 1 << (t.idx & 63)
 	// The old channel's access policy retires any pending admission
 	// decision (a parked CSMA waiter migrates; a DAMA member leaves the
 	// poll registry — which may reset t's accessor back to CSMA, so the
@@ -438,7 +529,7 @@ func (t *Transceiver) Retune(to *Channel) {
 			}
 		}
 		for _, r := range old.stations {
-			if !old.reachable(t, r) {
+			if !has(old.hear[tx.from], r.idx) {
 				continue
 			}
 			if !r.Params.FullDuplex && r.txStart < now && r.txEnd > tx.start {
@@ -458,9 +549,10 @@ func (t *Transceiver) Retune(to *Channel) {
 			r.Stats.FramesDamaged++
 			old.Stats.FramesDamaged++
 			if r.rx != nil {
-				r.rx(append([]byte(nil), payload...), true)
+				r.rx(payload, true)
 			}
 		}
+		old.release(tx)
 	}
 	if cut {
 		// Early carrier release: waiters whose wake was computed
@@ -472,21 +564,20 @@ func (t *Transceiver) Retune(to *Channel) {
 	}
 	t.transmitting = false
 	t.txStart, t.txEnd = 0, 0
-	for pair := range old.unreachable {
-		if pair[0] == t || pair[1] == t {
-			delete(old.unreachable, pair)
-		}
-	}
+	old.healSlot(t.idx)
 	old.dropAccessor(t.acc)
 	t.ch = to
-	to.stations = append(to.stations, t)
+	to.join(t)
 	to.addAccessor(t.acc)
 	if len(t.queue) > 0 && !t.contending {
 		t.acc.Start(t)
 	}
 }
 
-// SetReceiver installs the frame-delivery callback.
+// SetReceiver installs the frame-delivery callback. An intact frame
+// (damaged false) is the receiver's own copy to keep. A damaged frame
+// is a read-only view shared with every other receiver of the same
+// transmission: the callback must neither retain nor mutate it.
 func (t *Transceiver) SetReceiver(rx func(frame []byte, damaged bool)) { t.rx = rx }
 
 // SetParams installs new channel-access parameters (the TNC pushes
@@ -520,7 +611,7 @@ func (t *Transceiver) busyUntil(x sim.Time) (sim.Time, bool) {
 	var until sim.Time
 	busy := false
 	for _, tx := range c.active {
-		if tx.sender == t || !c.reachable(tx.sender, t) {
+		if tx.sender == t || !has(c.hear[tx.from], t.idx) {
 			continue
 		}
 		if tx.start.Add(c.DCDDelay) <= x && x < tx.end {
@@ -581,6 +672,20 @@ func (t *Transceiver) Send(frame []byte) {
 	}
 }
 
+// popQueue removes and returns the head-of-queue frame. Popping the
+// last frame rewinds the queue onto its backing array, so a station
+// that drains its queue between frames never reallocates it.
+func (t *Transceiver) popQueue() []byte {
+	frame := t.queue[0]
+	t.queue[0] = nil
+	if len(t.queue) == 1 {
+		t.queue = t.queue[:0]
+	} else {
+		t.queue = t.queue[1:]
+	}
+	return frame
+}
+
 // giveUp drops the head-of-queue frame once it has exhausted the
 // MaxDeferrals patience budget. It reports true when contention should
 // stop because the queue drained.
@@ -588,8 +693,7 @@ func (t *Transceiver) giveUp() bool {
 	if t.MaxDeferrals == 0 || t.frameDeferrals < t.MaxDeferrals || len(t.queue) == 0 {
 		return false
 	}
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	t.Stats.CSMAGiveUps++
 	t.frameDeferrals = 0
 	if t.OnDrop != nil {
@@ -613,7 +717,7 @@ func (t *Transceiver) startContention() {
 	}
 	t.slot = now
 	t.ch.addWaiter(t)
-	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlot)
+	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlotFn)
 }
 
 // stopContention retires the waiter state (the wake event has fired or
@@ -681,7 +785,7 @@ func (t *Transceiver) onSlot() {
 				return
 			}
 			t.slot = t.slot.Add(slotTime)
-			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlot)
+			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlotFn)
 			return
 		}
 		if t.csmaRng.Float64() >= p.Persist {
@@ -691,13 +795,12 @@ func (t *Transceiver) onSlot() {
 				return
 			}
 			t.slot = t.slot.Add(slotTime)
-			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlot)
+			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlotFn)
 			return
 		}
 	}
 	t.stopContention()
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	// frameDeferrals resets after the key-up so the tx-start trace hook
 	// can report what this frame waited through.
 	t.transmitFrame(frame, false)
@@ -740,8 +843,7 @@ func (t *Transceiver) contend() {
 		}
 	}
 	t.contending = false
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	t.transmitFrame(frame, false)
 	t.frameDeferrals = 0
 }
@@ -749,8 +851,7 @@ func (t *Transceiver) contend() {
 // giveUpPerSlot is the per-slot path's give-up: drop the head frame and
 // report whether contention should continue for a successor.
 func (t *Transceiver) giveUpPerSlot() bool {
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	t.Stats.CSMAGiveUps++
 	t.frameDeferrals = 0
 	if t.OnDrop != nil {
@@ -793,14 +894,9 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	c := t.ch
 	now := c.sched.Now()
 	dur := t.Params.TXDelay + c.AirTime(len(frame))
-	tx := &transmission{
-		sender:    t,
-		frame:     frame,
-		control:   control,
-		start:     now,
-		end:       now.Add(dur),
-		damagedAt: make(map[*Transceiver]bool),
-	}
+	tx := c.newTransmission()
+	tx.sender, tx.from, tx.frame, tx.control = t, t.idx, frame, control
+	tx.start, tx.end = now, now.Add(dur)
 	t.transmitting = true
 	t.txStart, t.txEnd = tx.start, tx.end
 	if control {
@@ -815,19 +911,18 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	c.Stats.Airtime += dur
 
 	// Mark mutual damage with every already-active overlapping
-	// transmission, at each receiver that can hear both senders.
+	// transmission, at each attached receiver that can hear both
+	// senders.
 	for _, other := range c.active {
 		if !tx.overlaps(other) {
 			continue
 		}
 		c.Stats.CollisionPairs++
-		for _, r := range c.stations {
-			hearsNew := c.reachable(t, r)
-			hearsOld := c.reachable(other.sender, r)
-			if hearsNew && hearsOld {
-				tx.damagedAt[r] = true
-				other.damagedAt[r] = true
-			}
+		hearsNew, hearsOld := c.hear[tx.from], c.hear[other.from]
+		for w, p := range c.present {
+			both := hearsNew[w] & hearsOld[w] & p
+			tx.damaged[w] |= both
+			other.damaged[w] |= both
 		}
 	}
 	c.active = append(c.active, tx)
@@ -837,7 +932,7 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	for _, a := range c.accs {
 		a.KeyUp(c, t)
 	}
-	tx.done = c.sched.At(tx.end, func() { c.complete(tx) })
+	tx.done = c.sched.At(tx.end, tx.complete)
 }
 
 func (c *Channel) complete(tx *transmission) {
@@ -853,10 +948,10 @@ func (c *Channel) complete(tx *transmission) {
 
 	// Deliver to every station that can hear the sender.
 	for _, r := range c.stations {
-		if r == sender || !c.reachable(sender, r) {
+		if r == sender || !has(c.hear[tx.from], r.idx) {
 			continue
 		}
-		collided := tx.damagedAt[r]
+		collided := has(tx.damaged, r.idx)
 		damaged := collided
 		// Half duplex: a station whose own transmission overlapped
 		// [tx.start, tx.end) missed the frame entirely — not even a
@@ -898,10 +993,16 @@ func (c *Channel) complete(tx *transmission) {
 			r.Stats.FramesHeard++
 			c.Stats.FramesHeard++
 		}
-		if r.rx != nil {
-			r.rx(append([]byte(nil), payload...), damaged)
+		if r.rx == nil {
+			continue
+		}
+		if damaged {
+			r.rx(payload, true)
+		} else {
+			r.rx(append([]byte(nil), payload...), false)
 		}
 	}
+	c.release(tx)
 
 	// Sender may have more queued traffic (or, polled, the rest of its
 	// reserved turn).
