@@ -107,12 +107,12 @@ type PacketRadioIf struct {
 	// traffic flows.
 	AutoARP bool
 
-	// Tap, when non-nil, observes every KISS frame crossing the serial
-	// seam, in DLT_AX25_KISS dress: the command byte followed by the
+	// Taps observe every KISS frame crossing the serial seam, in order,
+	// in DLT_AX25_KISS dress: the command byte followed by the
 	// unescaped payload. dir is "rx" (TNC→host) or "tx" (host→TNC);
 	// dropped output (OutDrops) never crossed the seam and is not
-	// tapped. The callback must not retain the slice.
-	Tap func(dir string, kissFrame []byte)
+	// tapped. Attach by appending; a tap must not retain the slice.
+	Taps []func(dir string, kissFrame []byte)
 
 	// OnDrop, when non-nil, observes frames the driver discards with a
 	// reason ("ipq overflow", "serial queue overflow"); frame is the
@@ -243,14 +243,22 @@ func (d *PacketRadioIf) interruptRun(p []byte) {
 	d.dec.Write(p)
 }
 
+// tap hands every tap the KISS record cmd+payload, built once.
+func (d *PacketRadioIf) tap(dir string, cmd byte, payload []byte) {
+	if len(d.Taps) == 0 {
+		return
+	}
+	rec := make([]byte, 0, 1+len(payload))
+	rec = append(append(rec, cmd), payload...)
+	for _, fn := range d.Taps {
+		fn(dir, rec)
+	}
+}
+
 // kissFrame fires when the decoder has assembled a complete frame.
 func (d *PacketRadioIf) kissFrame(kf kiss.Frame) {
 	d.DStats.KISSFrames++
-	if d.Tap != nil {
-		rec := make([]byte, 0, 1+len(kf.Payload))
-		rec = append(rec, byte(kf.Command))
-		d.Tap("rx", append(rec, kf.Payload...))
-	}
+	d.tap("rx", byte(kf.Command), kf.Payload)
 	if kf.Command != kiss.CmdData {
 		return // TNC-bound parameters never come from the TNC
 	}
@@ -453,11 +461,7 @@ func (d *PacketRadioIf) writeKISS(frame []byte) error {
 		}
 		return nil // dropped, as IF_DROP does: not an error to the caller
 	}
-	if d.Tap != nil {
-		rec := make([]byte, 0, 1+len(frame))
-		rec = append(rec, 0) // KISS data command
-		d.Tap("tx", append(rec, frame...))
-	}
+	d.tap("tx", 0, frame) // KISS data command
 	d.stats.Opackets++
 	d.stats.Obytes += uint64(len(frame))
 	_, err := d.ser.Write(enc)

@@ -28,16 +28,16 @@ func F1(w io.Writer) *Result {
 
 	// One-way time: stamp departure and arrival via the stack taps.
 	var depart, arrive time.Duration
-	pc.Stack.Tap = func(dir string, pkt *ip.Packet, _ string) {
+	pc.Stack.Taps = append(pc.Stack.Taps, func(dir string, pkt *ip.Packet, _ string) {
 		if dir == "out" && len(pkt.Payload) >= payload {
 			depart = s.W.Sched.Now().Duration()
 		}
-	}
-	s.Gateway.Stack.Tap = func(dir string, pkt *ip.Packet, _ string) {
+	})
+	s.Gateway.Stack.Taps = append(s.Gateway.Stack.Taps, func(dir string, pkt *ip.Packet, _ string) {
 		if dir == "in" && len(pkt.Payload) >= payload {
 			arrive = s.W.Sched.Now().Duration()
 		}
-	}
+	})
 	pc.Stack.Send(ip.ProtoUDP, ip.Addr{}, world.GatewayIP, make([]byte, payload), 0, 0)
 	s.W.Run(2 * time.Minute)
 	oneWay := arrive - depart

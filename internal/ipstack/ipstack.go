@@ -91,9 +91,9 @@ type Stack struct {
 	// default here so tests opt in explicitly.
 	AcceptRedirects bool
 
-	// Tap, when non-nil, observes every packet at input, output and
-	// forward time ("in", "out", "fwd").
-	Tap func(dir string, pkt *ip.Packet, ifName string)
+	// Taps observe every packet at input, output and forward time
+	// ("in", "out", "fwd"), in order; attach by appending.
+	Taps []func(dir string, pkt *ip.Packet, ifName string)
 
 	Stats Stats
 
@@ -224,6 +224,12 @@ func (s *Stack) isLocal(dst ip.Addr) bool {
 	return false
 }
 
+func (s *Stack) tap(dir string, pkt *ip.Packet, ifName string) {
+	for _, fn := range s.Taps {
+		fn(dir, pkt, ifName)
+	}
+}
+
 // Input is the driver entry point: a validated-length raw datagram
 // received on ifName. Equivalent to ipintr picking packets off the IP
 // input queue.
@@ -234,9 +240,7 @@ func (s *Stack) Input(buf []byte, ifName string) {
 		s.Stats.BadPackets++
 		return
 	}
-	if s.Tap != nil {
-		s.Tap("in", pkt, ifName)
-	}
+	s.tap("in", pkt, ifName)
 	if s.isLocal(pkt.Dst) {
 		s.deliver(pkt, ifName)
 		return
@@ -350,9 +354,7 @@ func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
 		s.Stats.FragsOut += uint64(len(frags))
 	}
 	for _, f := range frags {
-		if s.Tap != nil {
-			s.Tap(dir, f, e.ifc.Name())
-		}
+		s.tap(dir, f, e.ifc.Name())
 		if err := e.ifc.Output(f, nextHop); err != nil {
 			e.ifc.Stats().Oerrors++
 		}
@@ -381,9 +383,7 @@ func (s *Stack) Send(proto uint8, src, dst ip.Addr, payload []byte, ttl uint8, t
 			if out.Src.IsZero() {
 				out.Src = e.addr
 			}
-			if s.Tap != nil {
-				s.Tap("out", out, name)
-			}
+			s.tap("out", out, name)
 			if err := e.ifc.Output(out, dst); err != nil {
 				e.ifc.Stats().Oerrors++
 			}

@@ -208,7 +208,7 @@ func TestBadPacketCounted(t *testing.T) {
 func TestTapObservesDirections(t *testing.T) {
 	s, a, _, _, _ := pairUp(t, 1500)
 	dirs := map[string]int{}
-	a.Tap = func(dir string, pkt *ip.Packet, ifName string) { dirs[dir]++ }
+	a.Taps = append(a.Taps, func(dir string, pkt *ip.Packet, ifName string) { dirs[dir]++ })
 	a.Ping(ip.MustAddr("10.0.0.2"), 8, nil)
 	s.RunFor(time.Second)
 	if dirs["out"] == 0 || dirs["in"] == 0 {

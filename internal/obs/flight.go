@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"packetradio/internal/sim"
 )
@@ -130,28 +129,37 @@ func (fr *FlightRecorder) WriteTrace(w io.Writer) error {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}{TraceEvents: make([]traceEvent, 0, len(evs))}
 	tids := map[string]int{}
-	for _, e := range evs {
-		tid, ok := tids[e.Cat]
+	for i := range evs {
+		tid, ok := tids[evs[i].Cat]
 		if !ok {
 			tid = len(tids) + 1
-			tids[e.Cat] = tid
+			tids[evs[i].Cat] = tid
 		}
-		te := traceEvent{
-			Name: e.Name, Cat: e.Cat, Phase: "i", Scope: "t",
-			TS:  float64(e.T.Duration().Microseconds()),
-			PID: 1, TID: tid,
-		}
-		if e.Arg != "" {
-			te.Args = map[string]string{"arg": e.Arg}
-		}
-		out.TraceEvents = append(out.TraceEvents, te)
+		out.TraceEvents = append(out.TraceEvents, instant(&evs[i], 1, tid))
 	}
-	buf, err := json.Marshal(out)
+	return writeJSONLine(w, out)
+}
+
+// instant renders a flight-recorder entry as a trace_event instant.
+func instant(e *FlightEvent, pid, tid int) traceEvent {
+	te := traceEvent{
+		Name: e.Name, Cat: e.Cat, Phase: "i", Scope: "t",
+		TS:  float64(e.T.Duration().Microseconds()),
+		PID: pid, TID: tid,
+	}
+	if e.Arg != "" {
+		te.Args = map[string]string{"arg": e.Arg}
+	}
+	return te
+}
+
+// writeJSONLine writes v as one line of JSON.
+func writeJSONLine(w io.Writer, v any) error {
+	buf, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
+	_, err = w.Write(append(buf, '\n'))
 	return err
 }
 
@@ -159,11 +167,10 @@ func (fr *FlightRecorder) WriteTrace(w io.Writer) error {
 // instrument — the sharded engine's recorder (one lane per shard, each
 // written only by its shard's goroutine, so recording needs no locks)
 // and, degenerately, the single-loop engine's (one lane). Reading —
-// Len, Events, WriteTrace, Dump — merges the lanes ordered by virtual
-// time; call only with no run in flight.
+// Len, Events, WriteTrace, Dump — merges the lanes by (virtual time,
+// lane) with sim.MergeLanes; call only with no run in flight.
 type MultiRecorder struct {
-	names []string
-	lanes []*FlightRecorder
+	lanes sim.Lanes[*FlightRecorder]
 
 	// spanSource, when set (SetSpanSource), contributes the packet
 	// tracer's span stream to WriteTrace.
@@ -183,24 +190,16 @@ func NewMultiRecorder() *MultiRecorder { return &MultiRecorder{} }
 // capacity (<=0 takes DefaultFlightCap; the capacity of an existing
 // lane is not changed).
 func (m *MultiRecorder) Lane(name string, capacity int) *FlightRecorder {
-	for i, n := range m.names {
-		if n == name {
-			return m.lanes[i]
-		}
-	}
-	fr := NewFlightRecorder(capacity)
-	m.names = append(m.names, name)
-	m.lanes = append(m.lanes, fr)
-	return fr
+	return m.lanes.Lane(name, func() *FlightRecorder { return NewFlightRecorder(capacity) })
 }
 
 // Lanes lists the lane names in creation order.
-func (m *MultiRecorder) Lanes() []string { return append([]string(nil), m.names...) }
+func (m *MultiRecorder) Lanes() []string { return append([]string(nil), m.lanes.Names()...) }
 
 // Len sums held events across lanes.
 func (m *MultiRecorder) Len() int {
 	n := 0
-	for _, fr := range m.lanes {
+	for _, fr := range m.lanes.All() {
 		n += fr.Len()
 	}
 	return n
@@ -209,47 +208,22 @@ func (m *MultiRecorder) Len() int {
 // Dropped sums overwritten events across lanes.
 func (m *MultiRecorder) Dropped() uint64 {
 	var n uint64
-	for _, fr := range m.lanes {
+	for _, fr := range m.lanes.All() {
 		n += fr.Dropped()
 	}
 	return n
 }
 
-// merged returns every lane's events with lane indices, ordered by
-// virtual time (ties: lane order, then each lane's own order — the
-// deterministic merge the cross-shard inbox uses).
-func (m *MultiRecorder) merged() []struct {
-	lane int
-	ev   FlightEvent
-} {
-	var out []struct {
-		lane int
-		ev   FlightEvent
-	}
-	for i, fr := range m.lanes {
-		for _, e := range fr.Events() {
-			out = append(out, struct {
-				lane int
-				ev   FlightEvent
-			}{i, e})
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].ev.T != out[b].ev.T {
-			return out[a].ev.T < out[b].ev.T
-		}
-		return out[a].lane < out[b].lane
-	})
-	return out
+// merged visits every lane's held events by (virtual time, lane).
+func (m *MultiRecorder) merged(visit func(lane int, ev *FlightEvent)) {
+	sim.MergeLanes(m.lanes.All(), (*FlightRecorder).Events,
+		func(ev *FlightEvent) sim.Time { return ev.T }, visit)
 }
 
 // Events returns all lanes' events merged oldest-first.
 func (m *MultiRecorder) Events() []FlightEvent {
-	ms := m.merged()
-	out := make([]FlightEvent, len(ms))
-	for i, e := range ms {
-		out[i] = e.ev
-	}
+	out := make([]FlightEvent, 0, m.Len())
+	m.merged(func(_ int, ev *FlightEvent) { out = append(out, *ev) })
 	return out
 }
 
@@ -263,7 +237,7 @@ func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 	out := struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}{}
-	for i, name := range m.names {
+	for i, name := range m.lanes.Names() {
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Phase: "M", PID: i + 1,
 			Args: map[string]string{"name": name},
@@ -274,25 +248,17 @@ func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 		cat  string
 	}
 	tids := map[laneCat]int{}
-	for _, e := range m.merged() {
-		key := laneCat{e.lane, e.ev.Cat}
+	m.merged(func(lane int, ev *FlightEvent) {
+		key := laneCat{lane, ev.Cat}
 		tid, ok := tids[key]
 		if !ok {
 			tid = len(tids) + 1
 			tids[key] = tid
 		}
-		te := traceEvent{
-			Name: e.ev.Name, Cat: e.ev.Cat, Phase: "i", Scope: "t",
-			TS:  float64(e.ev.T.Duration().Microseconds()),
-			PID: e.lane + 1, TID: tid,
-		}
-		if e.ev.Arg != "" {
-			te.Args = map[string]string{"arg": e.ev.Arg}
-		}
-		out.TraceEvents = append(out.TraceEvents, te)
-	}
+		out.TraceEvents = append(out.TraceEvents, instant(ev, lane+1, tid))
+	})
 	if m.spanSource != nil {
-		spanPID := len(m.names) + 1
+		spanPID := len(m.lanes.Names()) + 1
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Phase: "M", PID: spanPID,
 			Args: map[string]string{"name": "packet journeys"},
@@ -341,24 +307,19 @@ func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 			out.TraceEvents = append(out.TraceEvents, fe)
 		}
 	}
-	buf, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+	return writeJSONLine(w, out)
 }
 
 // Dump writes all lanes merged as plain text, one line per event.
 func (m *MultiRecorder) Dump(w io.Writer) {
-	for _, e := range m.merged() {
-		if e.ev.Arg != "" {
-			fmt.Fprintf(w, "%12.6f %-8s %-6s %s %s\n", e.ev.T.Seconds(), m.names[e.lane], e.ev.Cat, e.ev.Name, e.ev.Arg)
+	names := m.lanes.Names()
+	m.merged(func(lane int, ev *FlightEvent) {
+		if ev.Arg != "" {
+			fmt.Fprintf(w, "%12.6f %-8s %-6s %s %s\n", ev.T.Seconds(), names[lane], ev.Cat, ev.Name, ev.Arg)
 		} else {
-			fmt.Fprintf(w, "%12.6f %-8s %-6s %s\n", e.ev.T.Seconds(), m.names[e.lane], e.ev.Cat, e.ev.Name)
+			fmt.Fprintf(w, "%12.6f %-8s %-6s %s\n", ev.T.Seconds(), names[lane], ev.Cat, ev.Name)
 		}
-	}
+	})
 	if d := m.Dropped(); d > 0 {
 		fmt.Fprintf(w, "(%d earlier events overwritten)\n", d)
 	}

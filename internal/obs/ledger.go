@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"packetradio/internal/ax25"
 	"packetradio/internal/ip"
 	"packetradio/internal/sim"
 )
@@ -25,27 +24,20 @@ import (
 // probe died instead of just reporting a delivery ratio.
 //
 // Recording is shard-safe: taps write timestamped events into per-lane
-// buffers (one lane per shard, each written only by its shard's
-// goroutine — the MultiRecorder discipline), and reads fold the lanes
-// into the ladder state stable-sorted by (virtual time, lane). Events
+// buffers (sim.Lanes: one lane per shard, each written only by its
+// shard's goroutine), and reads fold the lanes into the ladder state
+// in sim.MergeLanes order, (virtual time, lane). Events
 // for one ping at one instant always share a lane (its causal chain
 // runs within a shard; a cross-shard hop advances time by at least the
 // seam's lookahead), so the folded ladder is identical on the
 // single-loop and sharded engines at any worker count — the equality
 // the shard equivalence suite gates.
 type PingLedger struct {
-	// Unwrap, when set, strips a MAC-layer wrapper (the DAMA demand
-	// header) off an on-air frame before AX.25 decoding. Returns ok
-	// false when the bytes are not wrapped.
-	Unwrap func(b []byte) ([]byte, bool)
-
-	hostAddrs map[string]map[ip.Addr]bool
+	dec       *Decoder
 	recs      map[pingKey]*pingRec
 	sent      int
 	delivered int
-
-	names []string
-	lanes []*LedgerLane
+	lanes     sim.Lanes[*LedgerLane]
 }
 
 type pingKey struct {
@@ -82,26 +74,10 @@ var stageNames = map[int]string{
 	stRepAir:     "pending: rep at station",
 }
 
-// NewPingLedger builds an empty ledger.
-func NewPingLedger() *PingLedger {
-	return &PingLedger{
-		hostAddrs: make(map[string]map[ip.Addr]bool),
-		recs:      make(map[pingKey]*pingRec),
-	}
-}
-
-// SetHostAddrs registers the addresses a host owns, letting the stack
-// tap tell "in: this datagram is FOR this host" apart from "in: this
-// gateway is merely transiting it".
-func (l *PingLedger) SetHostAddrs(host string, addrs ...ip.Addr) {
-	m := l.hostAddrs[host]
-	if m == nil {
-		m = make(map[ip.Addr]bool)
-		l.hostAddrs[host] = m
-	}
-	for _, a := range addrs {
-		m[a] = true
-	}
+// NewPingLedger builds an empty ledger reading frames and host
+// addresses through dec.
+func NewPingLedger(dec *Decoder) *PingLedger {
+	return &PingLedger{dec: dec, recs: make(map[pingKey]*pingRec)}
 }
 
 // ledgerEv is one buffered ladder event: an advance (stage > 0) or a
@@ -115,26 +91,21 @@ type ledgerEv struct {
 	reason string
 }
 
-// LedgerLane is one shard's event buffer. Taps derived from a lane run
-// inside that shard's event loop only, so appends need no locks.
+// LedgerLane is one shard's event buffer. Taps derived from a lane
+// run inside that shard's event loop only, so appends need no locks.
 type LedgerLane struct {
 	led *PingLedger
 	now func() sim.Time
+	dec *frameDecoder
 	evs []ledgerEv
 }
 
 // Lane creates (or returns) the named lane. now must read the owning
 // shard's scheduler clock.
 func (l *PingLedger) Lane(name string, now func() sim.Time) *LedgerLane {
-	for i, n := range l.names {
-		if n == name {
-			return l.lanes[i]
-		}
-	}
-	ln := &LedgerLane{led: l, now: now}
-	l.names = append(l.names, name)
-	l.lanes = append(l.lanes, ln)
-	return ln
+	return l.lanes.Lane(name, func() *LedgerLane {
+		return &LedgerLane{led: l, now: now, dec: l.dec.lane(name)}
+	})
 }
 
 // merge folds every lane's buffered events into the ladder state in
@@ -142,49 +113,30 @@ func (l *PingLedger) Lane(name string, now func() sim.Time) *LedgerLane {
 // incremental; every read calls it first. Call only with no run in
 // flight.
 func (l *PingLedger) merge() {
-	type tagged struct {
-		lane int
-		ev   ledgerEv
-	}
-	var all []tagged
-	for i, ln := range l.lanes {
-		for _, ev := range ln.evs {
-			all = append(all, tagged{lane: i, ev: ev})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].ev.t != all[b].ev.t {
-			return all[a].ev.t < all[b].ev.t
-		}
-		return all[a].lane < all[b].lane
-	})
-	for _, tg := range all {
-		if tg.ev.reason != "" {
-			l.lose(tg.ev.k, tg.ev.isReq, tg.ev.reason)
-		} else {
-			l.advance(tg.ev.k, tg.ev.stage, tg.ev.create)
-		}
-	}
-	for _, ln := range l.lanes {
+	lanes := l.lanes.All()
+	sim.MergeLanes(lanes, func(ln *LedgerLane) []ledgerEv { return ln.evs },
+		func(ev *ledgerEv) sim.Time { return ev.t },
+		func(_ int, ev *ledgerEv) {
+			if ev.reason != "" {
+				l.lose(ev.k, ev.isReq, ev.reason)
+			} else {
+				l.advance(ev.k, ev.stage, ev.create)
+			}
+		})
+	for _, ln := range lanes {
 		ln.evs = ln.evs[:0]
 	}
 }
 
-// pingFrom extracts a ledger key from a datagram: echo requests key on
-// the source (the station), replies on the destination.
+// pingFrom extracts a ledger key from a datagram: an echo's trace
+// identity, the request keyed on its source (the station), the reply
+// on its destination.
 func pingFrom(pkt *ip.Packet) (k pingKey, isReq, ok bool) {
-	if pkt == nil || pkt.Proto != ip.ProtoICMP || pkt.FragOff != 0 || len(pkt.Payload) < 8 {
+	id, reply, ok := traceFrom(pkt)
+	if !ok || id.Proto != ip.ProtoICMP {
 		return k, false, false
 	}
-	id := uint16(pkt.Payload[4])<<8 | uint16(pkt.Payload[5])
-	seq := uint16(pkt.Payload[6])<<8 | uint16(pkt.Payload[7])
-	switch pkt.Payload[0] {
-	case 8: // echo request
-		return pingKey{pkt.Src, id, seq}, true, true
-	case 0: // echo reply
-		return pingKey{pkt.Dst, id, seq}, false, true
-	}
-	return k, false, false
+	return pingKey{id.A, id.ID, id.Seq}, !reply, true
 }
 
 func (l *PingLedger) advance(k pingKey, stage int, create bool) {
@@ -209,7 +161,11 @@ func (ln *LedgerLane) advance(k pingKey, isReq bool, stage int, create bool) {
 	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, stage: stage, create: create})
 }
 
-// StackTap returns an ipstack.Stack.Tap-shaped closure for the named
+func (ln *LedgerLane) lose(k pingKey, isReq bool, reason string) {
+	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
+}
+
+// StackTap returns an ipstack.Stack.Taps-shaped closure for the named
 // host; wire it to that host's stack to feed the lane.
 func (ln *LedgerLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
 	return func(dir string, pkt *ip.Packet, ifName string) {
@@ -217,7 +173,7 @@ func (ln *LedgerLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifN
 		if !ok {
 			return
 		}
-		mine := ln.led.hostAddrs[host]
+		mine := ln.led.dec.hosts[host]
 		switch {
 		case isReq && dir == "out" && mine[pkt.Src]:
 			ln.advance(k, isReq, stReqSent, true)
@@ -235,87 +191,40 @@ func (ln *LedgerLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifN
 	}
 }
 
-// AX25Info extracts the information field from a bare AX.25 frame (no
-// FCS, no MAC wrapper — the dress a KISS line carries). Capture
-// filters use it to reach the IP datagram inside a KISS data record.
-func AX25Info(b []byte) ([]byte, bool) {
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, false
-	}
-	return f.Info, true
-}
-
-// decodeFrame digs the IP datagram out of an AX.25 frame as it appears
-// at any seam: MAC-wrapped on-air bytes, FCS-suffixed TNC output, or
-// the bare frame a KISS line carries.
-func (l *PingLedger) decodeFrame(b []byte) (f *ax25.Frame, pkt *ip.Packet, ok bool) {
-	if l.Unwrap != nil {
-		if inner, wrapped := l.Unwrap(b); wrapped {
-			b = inner
-		}
-	}
-	if body, fcsOK := ax25.CheckFCS(b); fcsOK {
-		b = body
-	}
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, nil, false
-	}
-	pkt, err = ip.Unmarshal(f.Info)
-	if err != nil {
-		return nil, nil, false
-	}
-	return f, pkt, true
-}
-
 // RadioFrame records one per-receiver delivery outcome from the radio
 // tap. Only the link-layer addressee matters: overheard copies and
 // copies lost to bystanders don't move the ledger. lost=false advances
 // the air stage; lost=true pins reason as the ping's fate.
 func (ln *LedgerLane) RadioFrame(receiverCall string, frame []byte, lost bool, reason string) {
-	f, pkt, ok := ln.led.decodeFrame(frame)
-	if !ok || f.LinkDst().Callsign() != receiverCall {
+	f, pkt, ok := ln.dec.decode(frame)
+	if !ok || !isCall(f.LinkDst(), receiverCall) {
 		return
 	}
 	k, isReq, ok := pingFrom(pkt)
 	if !ok {
 		return
 	}
-	if !lost {
-		if isReq {
-			ln.advance(k, isReq, stReqAir, false)
-		} else {
-			ln.advance(k, isReq, stRepAir, false)
-		}
-		return
+	switch {
+	case lost:
+		ln.lose(k, isReq, reason)
+	case isReq:
+		ln.advance(k, isReq, stReqAir, false)
+	default:
+		ln.advance(k, isReq, stRepAir, false)
 	}
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
 }
 
 // DropFrame records a queue-drop of a frame at some seam (driver ipq,
 // TNC host queue, MAC transmit queue); body is the frame in whatever
 // dress that seam uses.
 func (ln *LedgerLane) DropFrame(reason string, body []byte) {
-	_, pkt, ok := ln.led.decodeFrame(body)
+	_, pkt, ok := ln.dec.decode(body)
 	if !ok {
 		return
 	}
-	k, isReq, ok := pingFrom(pkt)
-	if !ok {
-		return
+	if k, isReq, ok := pingFrom(pkt); ok {
+		ln.lose(k, isReq, reason)
 	}
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
-}
-
-// DropPacket records a drop of a bare datagram (an ipstack-level drop:
-// no route, TTL, fragmentation failure).
-func (ln *LedgerLane) DropPacket(reason string, pkt *ip.Packet) {
-	k, isReq, ok := pingFrom(pkt)
-	if !ok {
-		return
-	}
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
 }
 
 func (l *PingLedger) lose(k pingKey, isReq bool, reason string) {

@@ -12,15 +12,16 @@
 // journey's crossings telescope, the stage spans sum to exactly the
 // end-to-end latency — the property E19 gates at >= 99%.
 //
-// Determinism mirrors MultiRecorder: each shard records into its own
-// lane (no locks, no cross-shard writes), and reads merge the lanes
-// stable-sorted by (virtual time, lane). Same-instant crossings of one
-// trace always land in one lane — a causal chain within a shard runs
-// in program order, and a cross-shard hop advances virtual time by at
-// least the seam's lookahead — so a trace's crossing order, and hence
-// its span list, is identical on the single-loop and sharded engines
-// at any worker count. The global span stream orders traces by
-// TraceID, making it reflect.DeepEqual-comparable across engines.
+// Determinism is the lane discipline (sim.Lanes): each shard records
+// into its own lane (no locks, no cross-shard writes), and reads merge
+// the lanes in sim.MergeLanes order, (virtual time, lane). Same-instant
+// crossings of one trace always land in one lane — a causal chain
+// within a shard runs in program order, and a cross-shard hop advances
+// virtual time by at least the seam's lookahead — so a trace's crossing
+// order, and hence its span list, is identical on the single-loop and
+// sharded engines at any worker count. The global span stream orders
+// traces by TraceID, making it reflect.DeepEqual-comparable across
+// engines.
 //
 // Tracing costs nothing when disabled: the hooks below are only
 // installed by World.AttachTracer, and an un-attached world carries no
@@ -33,9 +34,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
-	"packetradio/internal/ax25"
 	"packetradio/internal/ip"
 	"packetradio/internal/sim"
 )
@@ -253,17 +254,8 @@ func (tr Trace) WriteWaterfall(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  +%-12v %-12v %-10s %-20s |%s\n",
 			s.Start.Sub(tr.Crossings[0].T), s.Duration(), s.Stage, detail,
-			"#"+stringsRepeat("#", bar))
+			"#"+strings.Repeat("#", bar))
 	}
-}
-
-// stringsRepeat avoids importing strings for one call site.
-func stringsRepeat(s string, n int) string {
-	out := make([]byte, 0, n*len(s))
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
-	}
-	return string(out)
 }
 
 // laneCross is one crossing as a lane buffers it.
@@ -273,11 +265,11 @@ type laneCross struct {
 }
 
 // TraceLane is one shard's crossing buffer. Taps derived from a lane
-// run inside that shard's event loop only, so appends need no locks —
-// the MultiRecorder discipline.
+// run inside that shard's event loop only, so appends need no locks.
 type TraceLane struct {
 	tr  *Tracer
 	now func() sim.Time
+	dec *frameDecoder
 	buf []laneCross
 }
 
@@ -285,53 +277,29 @@ type TraceLane struct {
 // NewTracer, hand each shard a Lane, wire the lane's taps into that
 // shard's seams, and read Traces/Spans/Breakdown between runs.
 type Tracer struct {
-	// Unwrap, when set, strips a MAC-layer wrapper (the DAMA demand
-	// header) off an on-air frame before AX.25 decoding, exactly as on
-	// PingLedger.
-	Unwrap func(b []byte) ([]byte, bool)
-
-	hostAddrs map[string]map[ip.Addr]bool
-	names     []string
-	lanes     []*TraceLane
+	dec   *Decoder
+	lanes sim.Lanes[*TraceLane]
 }
 
-// NewTracer builds an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{hostAddrs: make(map[string]map[ip.Addr]bool)}
-}
-
-// SetHostAddrs registers the addresses a host owns, so the stack tap
-// can tell origination and final arrival apart from transit.
-func (t *Tracer) SetHostAddrs(host string, addrs ...ip.Addr) {
-	m := t.hostAddrs[host]
-	if m == nil {
-		m = make(map[ip.Addr]bool)
-		t.hostAddrs[host] = m
-	}
-	for _, a := range addrs {
-		m[a] = true
-	}
+// NewTracer builds an empty tracer reading frames and host addresses
+// through dec.
+func NewTracer(dec *Decoder) *Tracer {
+	return &Tracer{dec: dec}
 }
 
 // Lane creates (or returns) the named lane. now must read the owning
 // shard's scheduler clock.
 func (t *Tracer) Lane(name string, now func() sim.Time) *TraceLane {
-	for i, n := range t.names {
-		if n == name {
-			return t.lanes[i]
-		}
-	}
-	ln := &TraceLane{tr: t, now: now}
-	t.names = append(t.names, name)
-	t.lanes = append(t.lanes, ln)
-	return ln
+	return t.lanes.Lane(name, func() *TraceLane {
+		return &TraceLane{tr: t, now: now, dec: t.dec.lane(name)}
+	})
 }
 
 // Reset discards every buffered crossing — called between a warm-up
 // window and the measured window so the breakdown reflects steady
 // state. Journeys straddling the reset simply never complete.
 func (t *Tracer) Reset() {
-	for _, ln := range t.lanes {
+	for _, ln := range t.lanes.All() {
 		ln.buf = ln.buf[:0]
 	}
 }
@@ -375,7 +343,7 @@ func point(base uint8, reply bool) uint8 {
 	return base
 }
 
-// StackTap returns an ipstack.Stack.Tap-shaped closure recording the
+// StackTap returns an ipstack.Stack.Taps-shaped closure recording the
 // IP-layer crossings at the named host: origination, per-hop
 // forwarding, and final arrival.
 func (ln *TraceLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
@@ -384,7 +352,7 @@ func (ln *TraceLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifNa
 		if !ok {
 			return
 		}
-		mine := ln.tr.hostAddrs[host]
+		mine := ln.tr.dec.hosts[host]
 		switch {
 		case dir == "out" && mine[pkt.Src]:
 			ln.add(id, point(PtOrigin, reply), host, "")
@@ -396,30 +364,7 @@ func (ln *TraceLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifNa
 	}
 }
 
-// decodeFrame digs the IP datagram out of an AX.25 frame in any dress
-// (MAC-wrapped on-air bytes, FCS-suffixed TNC output, bare KISS
-// payload) — shared with the ping ledger's decoder shape.
-func (t *Tracer) decodeFrame(b []byte) (f *ax25.Frame, pkt *ip.Packet, ok bool) {
-	if t.Unwrap != nil {
-		if inner, wrapped := t.Unwrap(b); wrapped {
-			b = inner
-		}
-	}
-	if body, fcsOK := ax25.CheckFCS(b); fcsOK {
-		b = body
-	}
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, nil, false
-	}
-	pkt, err = ip.Unmarshal(f.Info)
-	if err != nil {
-		return nil, nil, false
-	}
-	return f, pkt, true
-}
-
-// KISSTap returns a core.PacketRadioIf.Tap-shaped closure recording
+// KISSTap returns a core.PacketRadioIf.Taps-shaped closure recording
 // the serial seam: "tx" as the driver frames a datagram onto the KISS
 // line, "rx" as the receiving driver pulls one off. rec is the KISS
 // record with its command byte; only data records (cmd 0) are frames.
@@ -428,7 +373,7 @@ func (ln *TraceLane) KISSTap(host string) func(dir string, rec []byte) {
 		if len(rec) < 2 || rec[0] != 0 {
 			return
 		}
-		_, pkt, ok := ln.tr.decodeFrame(rec[1:])
+		_, pkt, ok := ln.dec.decode(rec[1:])
 		if !ok {
 			return
 		}
@@ -449,8 +394,8 @@ func (ln *TraceLane) KISSTap(host string) func(dir string, rec []byte) {
 // addressee — wire it to the channel tap, filtered to TapOK outcomes.
 // Overheard copies at bystanders don't cross the trace's path.
 func (ln *TraceLane) AirRx(receiverCall string, frame []byte) {
-	f, pkt, ok := ln.tr.decodeFrame(frame)
-	if !ok || f.LinkDst().Callsign() != receiverCall {
+	f, pkt, ok := ln.dec.decode(frame)
+	if !ok || !isCall(f.LinkDst(), receiverCall) {
 		return
 	}
 	id, reply, ok := traceFrom(pkt)
@@ -465,7 +410,7 @@ func (ln *TraceLane) AirRx(receiverCall string, frame []byte) {
 // carries the policy detail — "deferrals=N" under CSMA, "master=CALL"
 // under DAMA — so mac-wait spans name what they waited on.
 func (ln *TraceLane) MACEvent(who, event string, frame []byte, arg string) {
-	_, pkt, ok := ln.tr.decodeFrame(frame)
+	_, pkt, ok := ln.dec.decode(frame)
 	if !ok {
 		return
 	}
@@ -501,26 +446,10 @@ func (ln *TraceLane) ARPTap(who string) func(event string, pkt *ip.Packet) {
 
 // Traces merges the lanes and reconstructs every journey, ordered by
 // TraceID. Each trace's crossings come out in causal order on both
-// engines: the merge is stable-sorted by (virtual time, lane), and
-// same-instant crossings of one trace always share a lane (see the
-// package comment), so per-trace order is engine-independent.
+// engines: the merge runs by (virtual time, lane), and same-instant
+// crossings of one trace always share a lane (see the package
+// comment), so per-trace order is engine-independent.
 func (t *Tracer) Traces() []Trace {
-	type tagged struct {
-		lane int
-		lc   laneCross
-	}
-	var all []tagged
-	for i, ln := range t.lanes {
-		for _, lc := range ln.buf {
-			all = append(all, tagged{lane: i, lc: lc})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].lc.c.T != all[b].lc.c.T {
-			return all[a].lc.c.T < all[b].lc.c.T
-		}
-		return all[a].lane < all[b].lane
-	})
 	// A TraceID can be reused: an echo context closes when its reply
 	// lands and the stack hands the ICMP id to the next Ping, so the
 	// same (proto, pair, id, seq) names several journeys over a long
@@ -528,18 +457,20 @@ func (t *Tracer) Traces() []Trace {
 	// instance; instances of one ID stay in chronological order.
 	byID := make(map[TraceID][]*Trace)
 	var order []TraceID
-	for _, tg := range all {
-		insts := byID[tg.lc.id]
-		if len(insts) == 0 {
-			order = append(order, tg.lc.id)
-		}
-		if len(insts) == 0 || tg.lc.c.Point == PtOrigin {
-			insts = append(insts, &Trace{ID: tg.lc.id})
-			byID[tg.lc.id] = insts
-		}
-		tr := insts[len(insts)-1]
-		tr.Crossings = append(tr.Crossings, tg.lc.c)
-	}
+	sim.MergeLanes(t.lanes.All(), func(ln *TraceLane) []laneCross { return ln.buf },
+		func(lc *laneCross) sim.Time { return lc.c.T },
+		func(_ int, lc *laneCross) {
+			insts := byID[lc.id]
+			if len(insts) == 0 {
+				order = append(order, lc.id)
+			}
+			if len(insts) == 0 || lc.c.Point == PtOrigin {
+				insts = append(insts, &Trace{ID: lc.id})
+				byID[lc.id] = insts
+			}
+			tr := insts[len(insts)-1]
+			tr.Crossings = append(tr.Crossings, lc.c)
+		})
 	sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
 	var out []Trace
 	for _, id := range order {

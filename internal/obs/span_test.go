@@ -98,7 +98,7 @@ func TestTraceTelescoping(t *testing.T) {
 // lanes merged by (time, lane), and a reused TraceID splitting into
 // one trace instance per origination.
 func TestTracerMergeAndReuse(t *testing.T) {
-	trc := NewTracer()
+	trc := NewTracer(NewDecoder(nil))
 	var nowA, nowB sim.Time
 	la := trc.Lane("a", func() sim.Time { return nowA })
 	lb := trc.Lane("b", func() sim.Time { return nowB })

@@ -40,8 +40,8 @@ func outcomeDigest() string {
 			fmt.Fprintf(h, "%s %d %s>%s %v %v %d\n", name, s.Now(), sender.Name, receiver.Name, outcome, consumed, len(payload))
 		}
 	}
-	ch.Tap = tap("ch1")
-	ch2.Tap = tap("ch2")
+	ch.Taps = append(ch.Taps, tap("ch1"))
+	ch2.Taps = append(ch2.Taps, tap("ch2"))
 
 	rng := rand.New(rand.NewSource(7))
 	var all []*Transceiver

@@ -111,9 +111,9 @@ func TestChannelTapSeesOutcomes(t *testing.T) {
 		outcome          TapOutcome
 	}
 	var taps []tapEvent
-	ch.Tap = func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
+	ch.Taps = append(ch.Taps, func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
 		taps = append(taps, tapEvent{sender.Name, receiver.Name, outcome})
-	}
+	})
 
 	a.Send([]byte("clean"))
 	s.Run()

@@ -57,7 +57,7 @@ type ChannelStats struct {
 	ControlAirtime time.Duration
 }
 
-// TapOutcome classifies one per-receiver delivery for Channel.Tap.
+// TapOutcome classifies one per-receiver delivery for Channel.Taps.
 type TapOutcome uint8
 
 const (
@@ -88,12 +88,13 @@ func (o TapOutcome) String() string {
 type Channel struct {
 	sched *sim.Scheduler
 
-	// Tap, when non-nil, observes every per-receiver delivery outcome:
+	// Taps observe every per-receiver delivery outcome, in order:
 	// payload is what the receiver's MAC handed up (DAMA-unwrapped for
 	// data; the raw on-air bytes for half-duplex misses, where no MAC
 	// ran), consumed reports a frame the MAC swallowed as channel-access
-	// control. Purely read-side — a tap must not touch the channel.
-	Tap func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool)
+	// control. Attach by appending. Purely read-side — a tap must not
+	// touch the channel.
+	Taps []func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool)
 
 	// BitRate is the on-air signalling rate in bits per second.
 	BitRate int
@@ -534,15 +535,11 @@ func (t *Transceiver) Retune(to *Channel) {
 			}
 			if !r.Params.FullDuplex && r.txStart < now && r.txEnd > tx.start {
 				r.Stats.HalfDuplexMiss++
-				if old.Tap != nil {
-					old.Tap(t, r, tx.frame, TapTruncated, false)
-				}
+				old.tap(t, r, tx.frame, TapTruncated, false)
 				continue
 			}
 			payload, consumed := r.acc.Deliver(r, tx.frame, true)
-			if old.Tap != nil {
-				old.Tap(t, r, payload, TapTruncated, consumed)
-			}
+			old.tap(t, r, payload, TapTruncated, consumed)
 			if consumed {
 				continue
 			}
@@ -935,6 +932,12 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	tx.done = c.sched.At(tx.end, tx.complete)
 }
 
+func (c *Channel) tap(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
+	for _, fn := range c.Taps {
+		fn(sender, receiver, payload, outcome, consumed)
+	}
+}
+
 func (c *Channel) complete(tx *transmission) {
 	// Remove from active list.
 	for i, a := range c.active {
@@ -958,9 +961,7 @@ func (c *Channel) complete(tx *transmission) {
 		// damaged copy is seen (its receiver was disconnected).
 		if !r.Params.FullDuplex && r.txStart < tx.end && r.txEnd > tx.start {
 			r.Stats.HalfDuplexMiss++
-			if c.Tap != nil {
-				c.Tap(sender, r, tx.frame, TapHalfDuplex, false)
-			}
+			c.tap(sender, r, tx.frame, TapHalfDuplex, false)
 			continue
 		}
 		if !damaged && c.BitErrorRate > 0 {
@@ -974,14 +975,14 @@ func (c *Channel) complete(tx *transmission) {
 		// channel-access control (a DAMA poll) and never reaches the
 		// host; an unwrapped one continues up with its payload.
 		payload, consumed := r.acc.Deliver(r, tx.frame, damaged)
-		if c.Tap != nil {
+		if len(c.Taps) > 0 {
 			outcome := TapOK
 			if collided {
 				outcome = TapCollision
 			} else if damaged {
 				outcome = TapNoise
 			}
-			c.Tap(sender, r, payload, outcome, consumed)
+			c.tap(sender, r, payload, outcome, consumed)
 		}
 		if consumed {
 			continue

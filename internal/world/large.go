@@ -13,7 +13,6 @@ package world
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"packetradio/internal/ether"
@@ -191,41 +190,23 @@ func (lw *Large) slot(i int) *probeSlot {
 }
 
 // mergeProbes rebuilds the public Sent/Replies/RTTs fields from the
-// slots: a deterministic merge — samples ordered by (virtual time,
-// channel), ties within a channel keeping arrival order. Both engines
-// run the identical merge over identically-filled slots, which is what
-// makes the series equal across engines even when two channels' replies
-// land at the same virtual instant (the engines execute those events in
-// different global orders, but the merge key does not care).
+// slots: samples merged by (virtual time, channel), ties within a
+// channel keeping arrival order (sim.MergeLanes; each slot is appended
+// by one scheduler, so it is in time order). Both engines run the
+// identical merge over identically-filled slots, which is what makes
+// the series equal across engines even when two channels' replies
+// land at the same virtual instant (the engines execute those events
+// in different global orders, but the merge key does not care).
 func (lw *Large) mergeProbes() {
 	lw.Sent, lw.Replies = 0, 0
-	total := 0
 	for i := range lw.slots {
 		lw.Sent += lw.slots[i].sent
 		lw.Replies += lw.slots[i].replies
-		total += len(lw.slots[i].rtts)
 	}
-	type tagged struct {
-		at   sim.Time
-		slot int
-		rtt  time.Duration
-	}
-	all := make([]tagged, 0, total)
-	for i := range lw.slots {
-		for _, s := range lw.slots[i].rtts {
-			all = append(all, tagged{at: s.at, slot: i, rtt: s.rtt})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].slot < all[j].slot
-	})
 	lw.RTTs = lw.RTTs[:0]
-	for _, s := range all {
-		lw.RTTs = append(lw.RTTs, s.rtt)
-	}
+	sim.MergeLanes(lw.slots, func(s probeSlot) []rttSample { return s.rtts },
+		func(s *rttSample) sim.Time { return s.at },
+		func(_ int, s *rttSample) { lw.RTTs = append(lw.RTTs, s.rtt) })
 }
 
 // LargeInternetIP is the Ethernet host of the generated world.

@@ -8,7 +8,6 @@ import (
 
 	"packetradio/internal/dama"
 	"packetradio/internal/ip"
-	"packetradio/internal/ipstack"
 	"packetradio/internal/obs"
 	"packetradio/internal/radio"
 	"packetradio/internal/sim"
@@ -135,19 +134,8 @@ func (w *World) Netstat(out io.Writer, prefix string) {
 // should leave them off all the same.
 func (w *World) EnableFlightRecorder(capacity int) *obs.MultiRecorder {
 	m := obs.NewMultiRecorder()
-	laneOf := func(s *sim.Scheduler) *obs.FlightRecorder {
-		if w.group == nil {
-			return m.Lane("world", capacity)
-		}
-		sh := w.group.ShardOf(s)
-		if sh == nil {
-			return m.Lane("world", capacity)
-		}
-		return m.Lane(sh.Name, capacity)
-	}
 	if w.group == nil {
-		m.Lane("world", capacity)
-		w.Sched.EventHook = m.Lane("world", capacity).SchedHook()
+		w.Sched.EventHook = m.Lane(w.laneName(w.Sched), capacity).SchedHook()
 	} else {
 		for _, sh := range w.group.Shards() {
 			sh.Sched.EventHook = m.Lane(sh.Name, capacity).SchedHook()
@@ -156,12 +144,41 @@ func (w *World) EnableFlightRecorder(capacity int) *obs.MultiRecorder {
 	for ch, ctl := range w.dama {
 		cn := metricName(w.ChannelName(ch))
 		sched := ch.Scheduler()
-		fr := laneOf(sched) // the channel's shard lane on the sharded engine
+		fr := m.Lane(w.laneName(sched), capacity)
 		ctl.Trace = func(event, who string) {
 			fr.Record(sched.Now(), "dama", cn+" "+event, who)
 		}
 	}
 	return m
+}
+
+// laneName names the lane a hook running on scheduler s records into:
+// its shard's name on the sharded engine, "world" on the single-loop
+// engine. Every per-shard observer keys its lanes on it, and stamps
+// with s's own clock, never another shard's.
+func (w *World) laneName(s *sim.Scheduler) string {
+	if w.group != nil {
+		if sh := w.group.ShardOf(s); sh != nil {
+			return sh.Name
+		}
+	}
+	return "world"
+}
+
+// decoder returns the frame decoder and host-address table the ping
+// ledger and the tracer share, registering every host's addresses.
+func (w *World) decoder() *obs.Decoder {
+	if w.dec == nil {
+		w.dec = obs.NewDecoder(dama.Unwrap)
+	}
+	for name, h := range w.hosts {
+		for _, ifName := range h.Stack.IfNames() {
+			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
+				w.dec.SetHostAddrs(name, addr)
+			}
+		}
+	}
+	return w.dec
 }
 
 // ChannelName reverse-maps a channel to the name it was created under
@@ -178,25 +195,12 @@ func (w *World) ChannelName(ch *radio.Channel) string {
 // Channels lists the world's channels by name.
 func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 
-// chainStackTap adds fn to a stack's Tap without displacing whatever
-// is already installed.
-func chainStackTap(s *ipstack.Stack, fn func(dir string, pkt *ip.Packet, ifName string)) {
-	prev := s.Tap
-	if prev == nil {
-		s.Tap = fn
-		return
-	}
-	s.Tap = func(dir string, pkt *ip.Packet, ifName string) {
-		prev(dir, pkt, ifName)
-		fn(dir, pkt, ifName)
-	}
-}
-
 // CapturePort attaches a pcap capture to one radio port's KISS/serial
 // seam: every frame crossing between host and TNC, both directions,
-// as DLT_AX25_KISS records stamped with virtual time. filter (nil =
-// everything) screens on the IP datagram inside data frames; KISS
-// parameter frames are captured only by a nil/match-all filter.
+// as DLT_AX25_KISS records stamped with the host's own virtual clock
+// (its shard's, on the sharded engine). filter (nil = everything)
+// screens on the IP datagram inside data frames; KISS parameter frames
+// are captured only by a nil/match-all filter.
 func (w *World) CapturePort(host, ifName string, out io.Writer, filter *obs.Filter) (*obs.PcapWriter, error) {
 	h, ok := w.hosts[host]
 	if !ok {
@@ -210,16 +214,13 @@ func (w *World) CapturePort(host, ifName string, out io.Writer, filter *obs.Filt
 	if err != nil {
 		return nil, err
 	}
-	prev := port.Driver.Tap
-	port.Driver.Tap = func(dir string, rec []byte) {
-		if prev != nil {
-			prev(dir, rec)
-		}
+	sched := h.Sched()
+	port.Driver.Taps = append(port.Driver.Taps, func(dir string, rec []byte) {
 		if filter != nil && !kissRecordMatches(filter, rec) {
 			return
 		}
-		pw.WritePacket(w.Sched.Now(), rec)
-	}
+		pw.WritePacket(sched.Now(), rec)
+	})
 	return pw, nil
 }
 
@@ -239,7 +240,7 @@ func kissRecordMatches(f *obs.Filter, rec []byte) bool {
 
 // CaptureIP attaches a pcap capture at a host's IP layer (the netif
 // seam): every datagram the stack receives, originates or forwards,
-// as DLT_RAW records stamped with virtual time.
+// as DLT_RAW records stamped with the host's own virtual clock.
 func (w *World) CaptureIP(host string, out io.Writer, filter *obs.Filter) (*obs.PcapWriter, error) {
 	h, ok := w.hosts[host]
 	if !ok {
@@ -249,12 +250,13 @@ func (w *World) CaptureIP(host string, out io.Writer, filter *obs.Filter) (*obs.
 	if err != nil {
 		return nil, err
 	}
-	chainStackTap(h.Stack, func(dir string, pkt *ip.Packet, ifName string) {
+	sched := h.Sched()
+	h.Stack.Taps = append(h.Stack.Taps, func(dir string, pkt *ip.Packet, ifName string) {
 		if !filter.Match(pkt) {
 			return
 		}
 		if buf, err := pkt.Marshal(); err == nil {
-			pw.WritePacket(w.Sched.Now(), buf)
+			pw.WritePacket(sched.Now(), buf)
 		}
 	})
 	return pw, nil
@@ -270,56 +272,25 @@ func (w *World) CaptureIP(host string, out io.Writer, filter *obs.Filter) (*obs.
 //
 // Every hook records into the lane of the shard it runs on (one
 // "world" lane on the single-loop engine), so the ledger is safe — and
-// bit-identical — at any -workers count.
+// bit-identical — at any -workers count. The drop hooks have no other
+// observer, so the ledger owns them.
 func (w *World) AttachPingLedger() *obs.PingLedger {
-	l := obs.NewPingLedger()
-	l.Unwrap = dama.Unwrap
-	laneFor := func(s *sim.Scheduler) *obs.LedgerLane {
-		name := "world"
-		if w.group != nil {
-			if sh := w.group.ShardOf(s); sh != nil {
-				name = sh.Name
-			}
-		}
-		return l.Lane(name, s.Now)
-	}
+	l := obs.NewPingLedger(w.decoder())
 	for _, ch := range w.channels {
-		ln := laneFor(ch.Scheduler())
-		prev := ch.Tap
-		ch.Tap = func(sender, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, consumed bool) {
-			if prev != nil {
-				prev(sender, receiver, payload, outcome, consumed)
-			}
+		sched := ch.Scheduler()
+		ln := l.Lane(w.laneName(sched), sched.Now)
+		ch.Taps = append(ch.Taps, func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
 			ln.RadioFrame(receiver.Name, payload, outcome != radio.TapOK, outcome.String())
-		}
+		})
 	}
 	for name, h := range w.hosts {
-		ln := laneFor(h.Sched())
-		chainStackTap(h.Stack, ln.StackTap(name))
-		for _, ifName := range h.Stack.IfNames() {
-			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
-				l.SetHostAddrs(name, addr)
-			}
-		}
+		ln := l.Lane(w.laneName(h.Sched()), h.Sched().Now)
+		h.Stack.Taps = append(h.Stack.Taps, ln.StackTap(name))
 		for _, p := range h.radios {
-			chainFrameDrop(&p.Driver.OnDrop, ln.DropFrame)
-			chainFrameDrop(&p.TNC.OnDrop, ln.DropFrame)
-			chainFrameDrop(&p.RF.OnDrop, ln.DropFrame)
+			p.Driver.OnDrop = ln.DropFrame
+			p.TNC.OnDrop = ln.DropFrame
+			p.RF.OnDrop = ln.DropFrame
 		}
 	}
 	return l
-}
-
-// chainFrameDrop adds fn to a drop hook slot without displacing an
-// existing observer.
-func chainFrameDrop(slot *func(reason string, frame []byte), fn func(reason string, frame []byte)) {
-	prev := *slot
-	if prev == nil {
-		*slot = fn
-		return
-	}
-	*slot = func(reason string, frame []byte) {
-		prev(reason, frame)
-		fn(reason, frame)
-	}
 }

@@ -3,10 +3,8 @@ package world
 import (
 	"fmt"
 
-	"packetradio/internal/dama"
 	"packetradio/internal/obs"
 	"packetradio/internal/radio"
-	"packetradio/internal/sim"
 )
 
 // AttachTracer wires an obs.Tracer into every seam of the world: stack
@@ -26,48 +24,23 @@ func (w *World) AttachTracer() *obs.Tracer {
 	if w.tracer != nil {
 		return w.tracer
 	}
-	t := obs.NewTracer()
-	t.Unwrap = dama.Unwrap
+	t := obs.NewTracer(w.decoder())
 	w.tracer = t
-	laneFor := func(s *sim.Scheduler) *obs.TraceLane {
-		name := "world"
-		if w.group != nil {
-			if sh := w.group.ShardOf(s); sh != nil {
-				name = sh.Name
-			}
-		}
-		return t.Lane(name, s.Now)
-	}
 	for _, ch := range w.channels {
-		ln := laneFor(ch.Scheduler())
-		prev := ch.Tap
-		ch.Tap = func(sender, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, consumed bool) {
-			if prev != nil {
-				prev(sender, receiver, payload, outcome, consumed)
-			}
+		sched := ch.Scheduler()
+		ln := t.Lane(w.laneName(sched), sched.Now)
+		ch.Taps = append(ch.Taps, func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
 			if outcome == radio.TapOK {
 				ln.AirRx(receiver.Name, payload)
 			}
-		}
+		})
 	}
 	for name, h := range w.hosts {
-		ln := laneFor(h.Sched())
-		chainStackTap(h.Stack, ln.StackTap(name))
-		for _, ifName := range h.Stack.IfNames() {
-			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
-				t.SetHostAddrs(name, addr)
-			}
-		}
+		ln := t.Lane(w.laneName(h.Sched()), h.Sched().Now)
+		h.Stack.Taps = append(h.Stack.Taps, ln.StackTap(name))
 		for _, p := range h.radios {
 			rf := p.RF
-			prev := p.Driver.Tap
-			kt := ln.KISSTap(name)
-			p.Driver.Tap = func(dir string, rec []byte) {
-				if prev != nil {
-					prev(dir, rec)
-				}
-				kt(dir, rec)
-			}
+			p.Driver.Taps = append(p.Driver.Taps, ln.KISSTap(name))
 			// The mac-wait span's argument names what the frame waited
 			// on, resolved at key-up time: the DAMA master's callsign
 			// (or a mid-election marker) on a polled channel, the

@@ -58,6 +58,7 @@ type World struct {
 
 	reg    *obs.Registry // lazily built by Registry(); see obs.go
 	tracer *obs.Tracer   // installed by AttachTracer; see trace.go
+	dec    *obs.Decoder  // shared by the ledger and the tracer; see obs.go
 }
 
 // New creates an empty world with a deterministic seed.
