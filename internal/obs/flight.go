@@ -119,27 +119,6 @@ type traceEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// WriteTrace dumps the ring as Chrome trace_event JSON: open the file
-// at chrome://tracing (or ui.perfetto.dev) and the run renders as a
-// timeline, one track per category. Timestamps are virtual-time
-// microseconds since the simulation epoch.
-func (fr *FlightRecorder) WriteTrace(w io.Writer) error {
-	evs := fr.Events()
-	out := struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}{TraceEvents: make([]traceEvent, 0, len(evs))}
-	tids := map[string]int{}
-	for i := range evs {
-		tid, ok := tids[evs[i].Cat]
-		if !ok {
-			tid = len(tids) + 1
-			tids[evs[i].Cat] = tid
-		}
-		out.TraceEvents = append(out.TraceEvents, instant(&evs[i], 1, tid))
-	}
-	return writeJSONLine(w, out)
-}
-
 // instant renders a flight-recorder entry as a trace_event instant.
 func instant(e *FlightEvent, pid, tid int) traceEvent {
 	te := traceEvent{
@@ -321,21 +300,6 @@ func (m *MultiRecorder) Dump(w io.Writer) {
 		}
 	})
 	if d := m.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d earlier events overwritten)\n", d)
-	}
-}
-
-// Dump writes the ring as plain text, one line per event — the test-
-// failure format.
-func (fr *FlightRecorder) Dump(w io.Writer) {
-	for _, e := range fr.Events() {
-		if e.Arg != "" {
-			fmt.Fprintf(w, "%12.6f %-6s %s %s\n", e.T.Seconds(), e.Cat, e.Name, e.Arg)
-		} else {
-			fmt.Fprintf(w, "%12.6f %-6s %s\n", e.T.Seconds(), e.Cat, e.Name)
-		}
-	}
-	if d := fr.Dropped(); d > 0 {
 		fmt.Fprintf(w, "(%d earlier events overwritten)\n", d)
 	}
 }

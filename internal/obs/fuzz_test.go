@@ -62,10 +62,10 @@ func TestDecodeFrameDresses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes to the observers' frame
+// FuzzDecodeFrame feeds arbitrary bytes to a journal lane's frame
 // decoder, with and without the DAMA unwrap. It must never panic, and
-// the cached decoder must return exactly what a fresh decode of the
-// same bytes returns — also after the caller reuses its buffer and
+// the lane's cached decode must return exactly what a fresh decode of
+// the same bytes returns — also after the caller reuses its buffer and
 // after an intervening different input.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, b := range seedFrames(f) {
@@ -80,7 +80,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			unwrap = dama.Unwrap
 		}
 		want := resultOf(decodeFrame(unwrap, append([]byte(nil), b...)))
-		d := NewDecoder(unwrap).lane("world")
+		d := &NewJournal(unwrap).Lane("world", nil).dec
 		buf := append([]byte(nil), b...)
 		for pass := 0; pass < 2; pass++ {
 			if got := resultOf(d.decode(buf)); !reflect.DeepEqual(got, want) {

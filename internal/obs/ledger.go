@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"packetradio/internal/ip"
-	"packetradio/internal/sim"
 )
 
 // PingLedger accounts for every echo request a world sends: each ping
@@ -23,21 +22,15 @@ import (
 // so an E16-style saturation run can say exactly where every lost
 // probe died instead of just reporting a delivery ratio.
 //
-// Recording is shard-safe: taps write timestamped events into per-lane
-// buffers (sim.Lanes: one lane per shard, each written only by its
-// shard's goroutine), and reads fold the lanes into the ladder state
-// in sim.MergeLanes order, (virtual time, lane). Events
-// for one ping at one instant always share a lane (its causal chain
-// runs within a shard; a cross-shard hop advances time by at least the
-// seam's lookahead), so the folded ladder is identical on the
-// single-loop and sharded engines at any worker count — the equality
-// the shard equivalence suite gates.
+// The ledger is a fold over the world's packet journal (journal.go):
+// it reads the echo crossings and losses, in an order that is the same
+// on the single-loop and sharded engines at any worker count — the
+// equality the shard equivalence suite gates.
 type PingLedger struct {
-	dec       *Decoder
+	j         *Journal
 	recs      map[pingKey]*pingRec
 	sent      int
 	delivered int
-	lanes     sim.Lanes[*LedgerLane]
 }
 
 type pingKey struct {
@@ -74,182 +67,69 @@ var stageNames = map[int]string{
 	stRepAir:     "pending: rep at station",
 }
 
-// NewPingLedger builds an empty ledger reading frames and host
-// addresses through dec.
-func NewPingLedger(dec *Decoder) *PingLedger {
-	return &PingLedger{dec: dec, recs: make(map[pingKey]*pingRec)}
+// ladder maps a crossing point to the stage it moves a ping to, for
+// the request leg and the reply leg; points it leaves out move nothing.
+var ladder = [...][2]int{
+	PtOrigin: {stReqSent, stRepSent},
+	PtAirRx:  {stReqAir, stRepAir},
+	PtFwd:    {stReqFwd, stRepFwd},
+	PtArrive: {stReqArrived, stDelivered},
 }
 
-// ledgerEv is one buffered ladder event: an advance (stage > 0) or a
-// loss (reason != "").
-type ledgerEv struct {
-	t      sim.Time
-	k      pingKey
-	isReq  bool
-	stage  int
-	create bool
-	reason string
+// NewPingLedger builds an empty ledger folding j's echo crossings from
+// now on.
+func NewPingLedger(j *Journal) *PingLedger {
+	l := &PingLedger{j: j, recs: make(map[pingKey]*pingRec)}
+	j.addFold(l.fold)
+	return l
 }
 
-// LedgerLane is one shard's event buffer. Taps derived from a lane
-// run inside that shard's event loop only, so appends need no locks.
-type LedgerLane struct {
-	led *PingLedger
-	now func() sim.Time
-	dec *frameDecoder
-	evs []ledgerEv
-}
-
-// Lane creates (or returns) the named lane. now must read the owning
-// shard's scheduler clock.
-func (l *PingLedger) Lane(name string, now func() sim.Time) *LedgerLane {
-	return l.lanes.Lane(name, func() *LedgerLane {
-		return &LedgerLane{led: l, now: now, dec: l.dec.lane(name)}
-	})
-}
-
-// merge folds every lane's buffered events into the ladder state in
-// (virtual time, lane) order and clears the buffers. Idempotent and
-// incremental; every read calls it first. Call only with no run in
-// flight.
-func (l *PingLedger) merge() {
-	lanes := l.lanes.All()
-	sim.MergeLanes(lanes, func(ln *LedgerLane) []ledgerEv { return ln.evs },
-		func(ev *ledgerEv) sim.Time { return ev.t },
-		func(_ int, ev *ledgerEv) {
-			if ev.reason != "" {
-				l.lose(ev.k, ev.isReq, ev.reason)
-			} else {
-				l.advance(ev.k, ev.stage, ev.create)
-			}
-		})
-	for _, ln := range lanes {
-		ln.evs = ln.evs[:0]
+// fold steps one echo's ladder: a request's origin creates its record,
+// later crossings advance it, and the first loss before delivery pins
+// its fate. The key is the echo's trace identity without the pinged
+// host; leg is 0 on the request, 1 on the reply.
+func (l *PingLedger) fold(c *crossing) {
+	if c.id.Proto != ip.ProtoICMP {
+		return
 	}
-}
-
-// pingFrom extracts a ledger key from a datagram: an echo's trace
-// identity, the request keyed on its source (the station), the reply
-// on its destination.
-func pingFrom(pkt *ip.Packet) (k pingKey, isReq, ok bool) {
-	id, reply, ok := traceFrom(pkt)
-	if !ok || id.Proto != ip.ProtoICMP {
-		return k, false, false
-	}
-	return pingKey{id.A, id.ID, id.Seq}, !reply, true
-}
-
-func (l *PingLedger) advance(k pingKey, stage int, create bool) {
+	k := pingKey{c.id.A, c.id.ID, c.id.Seq}
+	base, leg := c.point&^ptReply, c.point/ptReply
 	r := l.recs[k]
-	if r == nil {
-		if !create {
-			return
-		}
-		r = &pingRec{}
-		l.recs[k] = r
-		l.sent++
-	}
-	if stage > r.stage {
-		r.stage = stage
-		if stage == stDelivered {
-			l.delivered++
-		}
-	}
-}
-
-func (ln *LedgerLane) advance(k pingKey, isReq bool, stage int, create bool) {
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, stage: stage, create: create})
-}
-
-func (ln *LedgerLane) lose(k pingKey, isReq bool, reason string) {
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
-}
-
-// StackTap returns an ipstack.Stack.Taps-shaped closure for the named
-// host; wire it to that host's stack to feed the lane.
-func (ln *LedgerLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
-	return func(dir string, pkt *ip.Packet, ifName string) {
-		k, isReq, ok := pingFrom(pkt)
-		if !ok {
-			return
-		}
-		mine := ln.led.dec.hosts[host]
-		switch {
-		case isReq && dir == "out" && mine[pkt.Src]:
-			ln.advance(k, isReq, stReqSent, true)
-		case isReq && dir == "fwd":
-			ln.advance(k, isReq, stReqFwd, false)
-		case isReq && dir == "in" && mine[pkt.Dst]:
-			ln.advance(k, isReq, stReqArrived, false)
-		case !isReq && dir == "out":
-			ln.advance(k, isReq, stRepSent, false)
-		case !isReq && dir == "fwd":
-			ln.advance(k, isReq, stRepFwd, false)
-		case !isReq && dir == "in" && mine[pkt.Dst]:
-			ln.advance(k, isReq, stDelivered, false)
-		}
-	}
-}
-
-// RadioFrame records one per-receiver delivery outcome from the radio
-// tap. Only the link-layer addressee matters: overheard copies and
-// copies lost to bystanders don't move the ledger. lost=false advances
-// the air stage; lost=true pins reason as the ping's fate.
-func (ln *LedgerLane) RadioFrame(receiverCall string, frame []byte, lost bool, reason string) {
-	f, pkt, ok := ln.dec.decode(frame)
-	if !ok || !isCall(f.LinkDst(), receiverCall) {
-		return
-	}
-	k, isReq, ok := pingFrom(pkt)
-	if !ok {
-		return
-	}
 	switch {
-	case lost:
-		ln.lose(k, isReq, reason)
-	case isReq:
-		ln.advance(k, isReq, stReqAir, false)
-	default:
-		ln.advance(k, isReq, stRepAir, false)
+	case base == PtLoss:
+		if r != nil && r.stage != stDelivered && r.fate == "" {
+			r.fate = [2]string{"req: ", "rep: "}[leg] + c.arg
+		}
+	case int(base) < len(ladder) && ladder[base][leg] != stNone:
+		stage := ladder[base][leg]
+		if r == nil {
+			if stage != stReqSent {
+				return // untracked: its request left before the ledger
+			}
+			r = &pingRec{}
+			l.recs[k] = r
+			l.sent++
+		}
+		if stage > r.stage {
+			r.stage = stage
+			if stage == stDelivered {
+				l.delivered++
+			}
+		}
 	}
-}
-
-// DropFrame records a queue-drop of a frame at some seam (driver ipq,
-// TNC host queue, MAC transmit queue); body is the frame in whatever
-// dress that seam uses.
-func (ln *LedgerLane) DropFrame(reason string, body []byte) {
-	_, pkt, ok := ln.dec.decode(body)
-	if !ok {
-		return
-	}
-	if k, isReq, ok := pingFrom(pkt); ok {
-		ln.lose(k, isReq, reason)
-	}
-}
-
-func (l *PingLedger) lose(k pingKey, isReq bool, reason string) {
-	r := l.recs[k]
-	if r == nil || r.stage == stDelivered || r.fate != "" {
-		return // untracked, already done, or already explained
-	}
-	side := "req"
-	if !isReq {
-		side = "rep"
-	}
-	r.fate = side + ": " + reason
 }
 
 // Sent reports how many pings the ledger saw leave a station.
-func (l *PingLedger) Sent() int { l.merge(); return l.sent }
+func (l *PingLedger) Sent() int { l.j.Flush(); return l.sent }
 
 // Delivered reports how many replies made it back.
-func (l *PingLedger) Delivered() int { l.merge(); return l.delivered }
+func (l *PingLedger) Delivered() int { l.j.Flush(); return l.delivered }
 
 // Fates classifies every tracked ping: "delivered", a terminal loss
 // reason, or "pending: ..." for pings still mid-ladder. The counts
 // always sum to Sent().
 func (l *PingLedger) Fates() map[string]int {
-	l.merge()
+	l.j.Flush()
 	out := make(map[string]int)
 	for _, r := range l.recs {
 		switch {

@@ -251,7 +251,8 @@ func TestFilter(t *testing.T) {
 }
 
 func TestFlightRecorder(t *testing.T) {
-	fr := NewFlightRecorder(4)
+	m := NewMultiRecorder()
+	fr := m.Lane("world", 4)
 	for i := 0; i < 6; i++ {
 		fr.Record(sim.Time(i)*sim.Time(time.Second), "sched", "tick", "")
 	}
@@ -267,7 +268,7 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := fr.WriteTrace(&buf); err != nil {
+	if err := m.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -280,11 +281,19 @@ func TestFlightRecorder(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace JSON invalid: %v", err)
 	}
-	if len(doc.TraceEvents) != 4 {
-		t.Fatalf("trace has %d events, want 4", len(doc.TraceEvents))
+	// One process_name record for the lane, then the held events.
+	if len(doc.TraceEvents) != 5 || doc.TraceEvents[0].Ph != "M" {
+		t.Fatalf("trace has %d events, want the lane's name plus 4", len(doc.TraceEvents))
 	}
-	if doc.TraceEvents[0].Ts != 2e6 {
-		t.Fatalf("first ts = %v µs, want 2e6", doc.TraceEvents[0].Ts)
+	if doc.TraceEvents[1].Ts != 2e6 {
+		t.Fatalf("first ts = %v µs, want 2e6", doc.TraceEvents[1].Ts)
+	}
+
+	buf.Reset()
+	m.Dump(&buf)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 5 || !strings.HasPrefix(lines[0], "    2.000000 world") || lines[4] != "(2 earlier events overwritten)" {
+		t.Fatalf("dump:\n%s", buf.String())
 	}
 
 	// The scheduler adapter records every fired event, named.

@@ -359,22 +359,19 @@ func (r *Registry) WriteText(w io.Writer, prefix string) {
 		if !strings.HasPrefix(s.Name, prefix) {
 			continue
 		}
-		fmt.Fprintf(w, "%-*s %v\n", width, s.Name, trimFloat(s.Value))
+		fmt.Fprintf(w, "%-*s %v\n", width, s.Name, FormatValue(s.Value))
 	}
 }
 
-// trimFloat prints integers without a trailing ".000000".
-func trimFloat(v float64) string {
+// FormatValue renders a metric value the way WriteText does: integral
+// values without a trailing ".000000", everything else to six
+// significant digits.
+func FormatValue(v float64) string {
 	if v == float64(int64(v)) {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%.6g", v)
 }
-
-// FormatValue renders a metric value the way WriteText does: integral
-// values without a fractional part, everything else to six significant
-// digits.
-func FormatValue(v float64) string { return trimFloat(v) }
 
 // StartSampling snapshots every metric each period of virtual time,
 // accumulating a time series for WriteCSV. The column set freezes at
@@ -382,13 +379,7 @@ func FormatValue(v float64) string { return trimFloat(v) }
 // the one registry feature that schedules events — leave it off for
 // gated runs.
 func (r *Registry) StartSampling(sched *sim.Scheduler, period time.Duration) *sim.Ticker {
-	if r.cols == nil {
-		snap := r.Snapshot()
-		r.cols = make([]string, len(snap))
-		for i, s := range snap {
-			r.cols[i] = s.Name
-		}
-	}
+	r.ensureCols()
 	return sched.Every(period, func() { r.sampleRow(sched.Now()) })
 }
 
@@ -425,7 +416,7 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	for _, row := range r.rows {
 		fmt.Fprintf(w, "%g", row.t.Seconds())
 		for _, v := range row.values {
-			fmt.Fprintf(w, ",%v", trimFloat(v))
+			fmt.Fprintf(w, ",%v", FormatValue(v))
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err

@@ -5,34 +5,31 @@
 // how much DAMA poll wait, how much serial drain, how much airtime".
 //
 // The design is crossing-based rather than begin/end-based: every seam
-// a traced datagram crosses records one timestamped crossing point
-// (stack out, ARP hold, KISS tx, MAC queue, key-up, air arrival, KISS
-// rx, forward, stack in), and spans are reconstructed afterwards as
-// the intervals between consecutive crossings of one trace. Because a
+// a traced datagram crosses records one timestamped crossing point in
+// the packet journal (stack out, ARP hold, KISS tx, MAC queue, key-up,
+// air arrival, KISS rx, forward, stack in), and spans are the
+// intervals between consecutive crossings of one trace. Because a
 // journey's crossings telescope, the stage spans sum to exactly the
 // end-to-end latency — the property E19 gates at >= 99%.
 //
-// Determinism is the lane discipline (sim.Lanes): each shard records
-// into its own lane (no locks, no cross-shard writes), and reads merge
-// the lanes in sim.MergeLanes order, (virtual time, lane). Same-instant
-// crossings of one trace always land in one lane — a causal chain
-// within a shard runs in program order, and a cross-shard hop advances
-// virtual time by at least the seam's lookahead — so a trace's crossing
-// order, and hence its span list, is identical on the single-loop and
+// The Tracer is a fold over the journal (journal.go), which hands it
+// every journey's crossings in the same order on the single-loop and
 // sharded engines at any worker count. The global span stream orders
 // traces by TraceID, making it reflect.DeepEqual-comparable across
 // engines.
 //
-// Tracing costs nothing when disabled: the hooks below are only
-// installed by World.AttachTracer, and an un-attached world carries no
-// tracer state at all (the CI gate TestTracingDisabledAddsNoAllocs
-// pins this).
+// Tracing costs nothing when disabled: the tracer-only seams (KISS,
+// MAC, ARP) are only hooked by World.AttachTracer, and a world with no
+// packet observer carries no journal at all (the CI gate
+// TestTracingDisabledAddsNoAllocs pins this).
 
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -91,10 +88,11 @@ func (id TraceID) less(o TraceID) bool {
 	return id.Seq < o.Seq
 }
 
-// Crossing points, in journey order for one hop. ptReply marks the
-// reply leg of an ICMP round trip (the same physical seams, walked
-// back). The stage between two consecutive crossings is named by the
-// arriving one — see stageName.
+// Crossing points, in journey order for one hop, then the loss point
+// that ends a journey short. ptReply marks the reply leg of an ICMP
+// round trip (the same physical seams, walked back). The stage between
+// two consecutive crossings is named by the arriving one — see
+// stageName.
 const (
 	PtOrigin   uint8 = 1  // source stack emitted the datagram
 	PtARPHold  uint8 = 2  // driver parked it on an ARP hold queue
@@ -106,6 +104,7 @@ const (
 	PtKISSRx   uint8 = 8  // receiving driver pulled it off the serial line
 	PtFwd      uint8 = 9  // a router's stack forwarded it
 	PtArrive   uint8 = 10 // destination stack accepted it
+	PtLoss     uint8 = 11 // a seam lost it; the journal's arg is the reason
 
 	ptReply uint8 = 16 // OR'd onto the reply leg's points
 )
@@ -258,50 +257,47 @@ func (tr Trace) WriteWaterfall(w io.Writer) {
 	}
 }
 
-// laneCross is one crossing as a lane buffers it.
-type laneCross struct {
-	id TraceID
-	c  Cross
-}
-
-// TraceLane is one shard's crossing buffer. Taps derived from a lane
-// run inside that shard's event loop only, so appends need no locks.
-type TraceLane struct {
-	tr  *Tracer
-	now func() sim.Time
-	dec *frameDecoder
-	buf []laneCross
-}
-
-// Tracer owns the trace lanes and the reconstruction. Create with
-// NewTracer, hand each shard a Lane, wire the lane's taps into that
-// shard's seams, and read Traces/Spans/Breakdown between runs.
+// Tracer strings the journal's crossings into journeys. Create it with
+// NewTracer and read Traces/Spans/Breakdown between runs.
 type Tracer struct {
-	dec   *Decoder
-	lanes sim.Lanes[*TraceLane]
+	j      *Journal
+	traces []*Trace           // every journey, in order of first crossing
+	open   map[TraceID]*Trace // each TraceID's latest journey
 }
 
-// NewTracer builds an empty tracer reading frames and host addresses
-// through dec.
-func NewTracer(dec *Decoder) *Tracer {
-	return &Tracer{dec: dec}
+// NewTracer builds an empty tracer folding j's crossings from now on.
+func NewTracer(j *Journal) *Tracer {
+	t := &Tracer{j: j, open: make(map[TraceID]*Trace)}
+	j.addFold(t.fold)
+	return t
 }
 
-// Lane creates (or returns) the named lane. now must read the owning
-// shard's scheduler clock.
-func (t *Tracer) Lane(name string, now func() sim.Time) *TraceLane {
-	return t.lanes.Lane(name, func() *TraceLane {
-		return &TraceLane{tr: t, now: now, dec: t.dec.lane(name)}
-	})
-}
-
-// Reset discards every buffered crossing — called between a warm-up
-// window and the measured window so the breakdown reflects steady
-// state. Journeys straddling the reset simply never complete.
-func (t *Tracer) Reset() {
-	for _, ln := range t.lanes.All() {
-		ln.buf = ln.buf[:0]
+// fold appends one crossing to its journey. A TraceID can be reused:
+// an echo context closes when its reply lands and the stack hands the
+// ICMP id to the next Ping, so the same (proto, pair, id, seq) names
+// several journeys over a long run. Every non-reply origination
+// therefore starts a fresh journey. Losses end no span and are left to
+// the ledger.
+func (t *Tracer) fold(c *crossing) {
+	if c.point&^ptReply == PtLoss {
+		return
 	}
+	tr := t.open[c.id]
+	if tr == nil || c.point == PtOrigin {
+		tr = &Trace{ID: c.id}
+		t.open[c.id] = tr
+		t.traces = append(t.traces, tr)
+	}
+	tr.Crossings = append(tr.Crossings, Cross{T: c.t, Point: c.point, Who: c.who, Arg: c.detail()})
+}
+
+// Reset discards every journey recorded so far — called between a
+// warm-up window and the measured window so the breakdown reflects
+// steady state. Journeys straddling the reset simply never complete.
+func (t *Tracer) Reset() {
+	t.j.Flush()
+	t.traces = nil
+	t.open = make(map[TraceID]*Trace)
 }
 
 // traceFrom extracts a trace identity from a datagram. ICMP echoes
@@ -330,153 +326,16 @@ func traceFrom(pkt *ip.Packet) (id TraceID, reply, ok bool) {
 	return TraceID{Proto: pkt.Proto, A: pkt.Src, B: pkt.Dst, ID: pkt.ID}, false, true
 }
 
-// add buffers one crossing at the lane's current virtual time.
-func (ln *TraceLane) add(id TraceID, pt uint8, who, arg string) {
-	ln.buf = append(ln.buf, laneCross{id: id, c: Cross{T: ln.now(), Point: pt, Who: who, Arg: arg}})
-}
-
-// point applies the reply-leg marker for ICMP return journeys.
-func point(base uint8, reply bool) uint8 {
-	if reply {
-		return base | ptReply
-	}
-	return base
-}
-
-// StackTap returns an ipstack.Stack.Taps-shaped closure recording the
-// IP-layer crossings at the named host: origination, per-hop
-// forwarding, and final arrival.
-func (ln *TraceLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
-	return func(dir string, pkt *ip.Packet, ifName string) {
-		id, reply, ok := traceFrom(pkt)
-		if !ok {
-			return
-		}
-		mine := ln.tr.dec.hosts[host]
-		switch {
-		case dir == "out" && mine[pkt.Src]:
-			ln.add(id, point(PtOrigin, reply), host, "")
-		case dir == "fwd":
-			ln.add(id, point(PtFwd, reply), host, "if "+ifName)
-		case dir == "in" && mine[pkt.Dst]:
-			ln.add(id, point(PtArrive, reply), host, "")
-		}
-	}
-}
-
-// KISSTap returns a core.PacketRadioIf.Taps-shaped closure recording
-// the serial seam: "tx" as the driver frames a datagram onto the KISS
-// line, "rx" as the receiving driver pulls one off. rec is the KISS
-// record with its command byte; only data records (cmd 0) are frames.
-func (ln *TraceLane) KISSTap(host string) func(dir string, rec []byte) {
-	return func(dir string, rec []byte) {
-		if len(rec) < 2 || rec[0] != 0 {
-			return
-		}
-		_, pkt, ok := ln.dec.decode(rec[1:])
-		if !ok {
-			return
-		}
-		id, reply, ok := traceFrom(pkt)
-		if !ok {
-			return
-		}
-		switch dir {
-		case "tx":
-			ln.add(id, point(PtKISSTx, reply), host, "")
-		case "rx":
-			ln.add(id, point(PtKISSRx, reply), host, "")
-		}
-	}
-}
-
-// AirRx records a frame's arrival over the air at its link-layer
-// addressee — wire it to the channel tap, filtered to TapOK outcomes.
-// Overheard copies at bystanders don't cross the trace's path.
-func (ln *TraceLane) AirRx(receiverCall string, frame []byte) {
-	f, pkt, ok := ln.dec.decode(frame)
-	if !ok || !isCall(f.LinkDst(), receiverCall) {
-		return
-	}
-	id, reply, ok := traceFrom(pkt)
-	if !ok {
-		return
-	}
-	ln.add(id, point(PtAirRx, reply), receiverCall, "")
-}
-
-// MACEvent records a MAC seam crossing for the frame: "queue" as the
-// radio accepts it, "tx-start" as the transmitter keys up with it. arg
-// carries the policy detail — "deferrals=N" under CSMA, "master=CALL"
-// under DAMA — so mac-wait spans name what they waited on.
-func (ln *TraceLane) MACEvent(who, event string, frame []byte, arg string) {
-	_, pkt, ok := ln.dec.decode(frame)
-	if !ok {
-		return
-	}
-	id, reply, ok := traceFrom(pkt)
-	if !ok {
-		return
-	}
-	switch event {
-	case "queue":
-		ln.add(id, point(PtMACQueue, reply), who, "")
-	case "tx-start":
-		ln.add(id, point(PtTxStart, reply), who, arg)
-	}
-}
-
-// ARPTap returns an arp.Resolver.Trace-shaped closure recording hold
-// ("a datagram parked awaiting resolution") and flush ("resolution
-// arrived; the hold queue drains") at the named host.
-func (ln *TraceLane) ARPTap(who string) func(event string, pkt *ip.Packet) {
-	return func(event string, pkt *ip.Packet) {
-		id, reply, ok := traceFrom(pkt)
-		if !ok {
-			return
-		}
-		switch event {
-		case "hold":
-			ln.add(id, point(PtARPHold, reply), who, "")
-		case "flush":
-			ln.add(id, point(PtARPFlush, reply), who, "")
-		}
-	}
-}
-
-// Traces merges the lanes and reconstructs every journey, ordered by
-// TraceID. Each trace's crossings come out in causal order on both
-// engines: the merge runs by (virtual time, lane), and same-instant
-// crossings of one trace always share a lane (see the package
-// comment), so per-trace order is engine-independent.
+// Traces returns every journey, ordered by TraceID, the journeys of
+// one TraceID in chronological order, each trace's crossings in causal
+// order on both engines. The crossing slices are the tracer's own,
+// capped so appends cannot reach them.
 func (t *Tracer) Traces() []Trace {
-	// A TraceID can be reused: an echo context closes when its reply
-	// lands and the stack hands the ICMP id to the next Ping, so the
-	// same (proto, pair, id, seq) names several journeys over a long
-	// run. Every non-reply origination therefore starts a fresh trace
-	// instance; instances of one ID stay in chronological order.
-	byID := make(map[TraceID][]*Trace)
-	var order []TraceID
-	sim.MergeLanes(t.lanes.All(), func(ln *TraceLane) []laneCross { return ln.buf },
-		func(lc *laneCross) sim.Time { return lc.c.T },
-		func(_ int, lc *laneCross) {
-			insts := byID[lc.id]
-			if len(insts) == 0 {
-				order = append(order, lc.id)
-			}
-			if len(insts) == 0 || lc.c.Point == PtOrigin {
-				insts = append(insts, &Trace{ID: lc.id})
-				byID[lc.id] = insts
-			}
-			tr := insts[len(insts)-1]
-			tr.Crossings = append(tr.Crossings, lc.c)
-		})
-	sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
-	var out []Trace
-	for _, id := range order {
-		for _, tr := range byID[id] {
-			out = append(out, *tr)
-		}
+	t.j.Flush()
+	sort.SliceStable(t.traces, func(i, j int) bool { return t.traces[i].ID.less(t.traces[j].ID) })
+	out := make([]Trace, len(t.traces))
+	for i, tr := range t.traces {
+		out[i] = Trace{ID: tr.ID, Crossings: tr.Crossings[:len(tr.Crossings):len(tr.Crossings)]}
 	}
 	return out
 }
@@ -603,31 +462,24 @@ func (b *Breakdown) Hist(stage string) *Histogram { return b.hist[stage] }
 // ShareQuantile reports the q-quantile (0..1) of the per-trace share
 // of end-to-end latency spent in the stage.
 func (b *Breakdown) ShareQuantile(stage string, q float64) float64 {
-	samples := append([]float64(nil), b.shares[stage]...)
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	i := int(q * float64(len(samples)))
-	if i >= len(samples) {
-		i = len(samples) - 1
-	}
-	return samples[i]
+	return quantile(b.shares[stage], q)
 }
 
 // DurationQuantile reports the q-quantile (0..1) of the stage's span
 // widths.
 func (b *Breakdown) DurationQuantile(stage string, q float64) time.Duration {
-	samples := append([]time.Duration(nil), b.durs[stage]...)
+	return quantile(b.durs[stage], q)
+}
+
+// quantile reports the q-quantile (0..1) of samples, zero when empty.
+func quantile[T cmp.Ordered](samples []T, q float64) T {
 	if len(samples) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	i := int(q * float64(len(samples)))
-	if i >= len(samples) {
-		i = len(samples) - 1
-	}
-	return samples[i]
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	return sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
 }
 
 // ShareSamples returns the per-trace share samples for the stage, in

@@ -94,28 +94,34 @@ func TestTraceTelescoping(t *testing.T) {
 	}
 }
 
-// TestTracerMergeAndReuse drives the lane machinery directly: two
-// lanes merged by (time, lane), and a reused TraceID splitting into
-// one trace instance per origination.
+// TestTracerMergeAndReuse drives the journal directly: two lanes
+// merged by (time, lane), and a reused TraceID splitting into one
+// trace instance per origination.
 func TestTracerMergeAndReuse(t *testing.T) {
-	trc := NewTracer(NewDecoder(nil))
+	j := NewJournal(nil)
+	trc := NewTracer(j)
 	var nowA, nowB sim.Time
-	la := trc.Lane("a", func() sim.Time { return nowA })
-	lb := trc.Lane("b", func() sim.Time { return nowB })
-	if trc.Lane("a", func() sim.Time { return nowA }) != la {
+	la := j.Lane("a", func() sim.Time { return nowA })
+	lb := j.Lane("b", func() sim.Time { return nowB })
+	if j.Lane("a", func() sim.Time { return nowA }) != la {
 		t.Fatal("Lane is not idempotent per name")
 	}
+	j.SetHostAddrs("h1", ip.Addr{1})
+	j.SetHostAddrs("h2", ip.Addr{2})
+	out, in := la.StackTap("h1"), lb.StackTap("h2")
+	seg := &ip.Packet{Header: ip.Header{Proto: ip.ProtoTCP, Src: ip.Addr{1}, Dst: ip.Addr{2}, ID: 7}}
 
-	id := TraceID{Proto: ip.ProtoTCP, A: ip.Addr{1}, B: ip.Addr{2}, ID: 7}
 	// Journey 1: origin on lane a at t=0, arrival on lane b at t=2s.
-	la.add(id, PtOrigin, "h1", "")
+	out("out", seg, "")
 	nowB = ts(2 * time.Second)
-	lb.add(id, PtArrive, "h2", "")
-	// Journey 2 reuses the ID: origin at t=3s, arrival at t=5s.
+	in("in", seg, "")
+	// Journey 2 reuses the ID: origin at t=3s, arrival at t=5s, read
+	// after a flush in between.
+	j.Flush()
 	nowA = ts(3 * time.Second)
-	la.add(id, PtOrigin, "h1", "")
+	out("out", seg, "")
 	nowB = ts(5 * time.Second)
-	lb.add(id, PtArrive, "h2", "")
+	in("in", seg, "")
 
 	traces := trc.Traces()
 	if len(traces) != 2 {

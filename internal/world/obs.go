@@ -165,20 +165,41 @@ func (w *World) laneName(s *sim.Scheduler) string {
 	return "world"
 }
 
-// decoder returns the frame decoder and host-address table the ping
-// ledger and the tracer share, registering every host's addresses.
-func (w *World) decoder() *obs.Decoder {
-	if w.dec == nil {
-		w.dec = obs.NewDecoder(dama.Unwrap)
+// journal returns the world's packet journal. The first call
+// builds it and wires the core taps every packet observer reads: each
+// host's stack (origination, forwarding, arrival), each channel (air
+// arrival or loss at the addressee) and each radio port's drop hooks.
+// Every tap records into the lane of the shard it runs on, and the
+// journal flushes into its folds at the end of every Run.
+func (w *World) journal() *obs.Journal {
+	if w.jnl != nil {
+		return w.jnl
+	}
+	j := obs.NewJournal(dama.Unwrap)
+	for _, ch := range w.channels {
+		sched := ch.Scheduler()
+		ln := j.Lane(w.laneName(sched), sched.Now)
+		ch.Taps = append(ch.Taps, func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
+			ln.AirRx(receiver.Name, payload, outcome != radio.TapOK, outcome.String())
+		})
 	}
 	for name, h := range w.hosts {
 		for _, ifName := range h.Stack.IfNames() {
 			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
-				w.dec.SetHostAddrs(name, addr)
+				j.SetHostAddrs(name, addr)
 			}
 		}
+		ln := j.Lane(w.laneName(h.Sched()), h.Sched().Now)
+		h.Stack.Taps = append(h.Stack.Taps, ln.StackTap(name))
+		for _, p := range h.radios {
+			p.Driver.OnDrop = ln.Drop
+			p.TNC.OnDrop = ln.Drop
+			p.RF.OnDrop = ln.Drop
+		}
 	}
-	return w.dec
+	w.OnRunEnd(j.Flush)
+	w.jnl = j
+	return j
 }
 
 // ChannelName reverse-maps a channel to the name it was created under
@@ -262,35 +283,17 @@ func (w *World) CaptureIP(host string, out io.Writer, filter *obs.Filter) (*obs.
 	return pw, nil
 }
 
-// AttachPingLedger wires a PingLedger into every host, channel and
-// driver in the world: stack taps stage each ping through its ladder,
-// radio taps account air losses at the intended receiver, and the
-// drop hooks at every queue pin terminal reasons. Attach after the
-// topology is built and before traffic starts. The hooks add no
-// scheduler events, so ledgered runs keep their event counts — E16
-// attaches one to explain every undelivered ping.
-//
-// Every hook records into the lane of the shard it runs on (one
-// "world" lane on the single-loop engine), so the ledger is safe — and
-// bit-identical — at any -workers count. The drop hooks have no other
-// observer, so the ledger owns them.
+// AttachPingLedger folds a PingLedger over the world's packet journal:
+// stack crossings stage each ping through its ladder, air arrivals and
+// losses at the intended receiver move or end it, and the drop hooks
+// at every queue pin terminal reasons. Attach after the topology is
+// built and before traffic starts. The taps add no scheduler events,
+// so ledgered runs keep their event counts — E16 attaches one to
+// explain every undelivered ping. Idempotent — a second call returns
+// the same ledger.
 func (w *World) AttachPingLedger() *obs.PingLedger {
-	l := obs.NewPingLedger(w.decoder())
-	for _, ch := range w.channels {
-		sched := ch.Scheduler()
-		ln := l.Lane(w.laneName(sched), sched.Now)
-		ch.Taps = append(ch.Taps, func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
-			ln.RadioFrame(receiver.Name, payload, outcome != radio.TapOK, outcome.String())
-		})
+	if w.ledger == nil {
+		w.ledger = obs.NewPingLedger(w.journal())
 	}
-	for name, h := range w.hosts {
-		ln := l.Lane(w.laneName(h.Sched()), h.Sched().Now)
-		h.Stack.Taps = append(h.Stack.Taps, ln.StackTap(name))
-		for _, p := range h.radios {
-			p.Driver.OnDrop = ln.DropFrame
-			p.TNC.OnDrop = ln.DropFrame
-			p.RF.OnDrop = ln.DropFrame
-		}
-	}
-	return l
+	return w.ledger
 }

@@ -127,3 +127,64 @@ func TestCountersSurviveChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalBuffersBounded runs the regional world — 200 stations on
+// 8 channels with the ping ledger — for 4 sim-h in 10-min windows. The
+// journal flushes into the ledger at the end of every Run, so after
+// each window no lane holds a record, and the lanes' buffers stay the
+// size of one window's records however long the run goes.
+func TestJournalBuffersBounded(t *testing.T) {
+	lw := NewLarge(LargeConfig{Seed: 1, Stations: 200, Channels: 8, PingInterval: time.Minute})
+	led := lw.W.AttachPingLedger()
+	if lw.W.AttachPingLedger() != led {
+		t.Fatal("AttachPingLedger is not idempotent")
+	}
+	lw.W.Run(30 * time.Second)
+	var firstHour int
+	for k := 1; k <= 24; k++ {
+		lw.W.Run(10 * time.Minute)
+		held, capacity := lw.W.jnl.Buffered()
+		if held != 0 {
+			t.Fatalf("window %d: the journal holds %d records after Run", k, held)
+		}
+		if k == 6 {
+			firstHour = capacity
+		}
+		if k > 6 && capacity > 2*firstHour {
+			t.Fatalf("window %d: lane capacity %d, more than twice the first hour's %d", k, capacity, firstHour)
+		}
+	}
+	if led.Sent() < 40000 || led.Delivered() == 0 {
+		t.Fatalf("ledger saw %d sent, %d delivered: too little traffic to test anything", led.Sent(), led.Delivered())
+	}
+}
+
+// TestOneJournalWhateverIsAttached checks that the ledger and the
+// tracer share one journal and one set of core taps — each stack and
+// channel gains one tap, whichever observer comes first and however
+// often either is attached — and that both attach calls are
+// idempotent.
+func TestOneJournalWhateverIsAttached(t *testing.T) {
+	for _, ledgerFirst := range []bool{true, false} {
+		s := NewSeattle(SeattleConfig{Seed: 1, NumPCs: 2})
+		attach := []func(){func() { s.W.AttachPingLedger() }, func() { s.W.AttachTracer() }}
+		if !ledgerFirst {
+			attach[0], attach[1] = attach[1], attach[0]
+		}
+		attach[0]()
+		j := s.W.jnl
+		attach[1]()
+		led, tr := s.W.AttachPingLedger(), s.W.AttachTracer()
+		if s.W.jnl != j || s.W.AttachPingLedger() != led || s.W.AttachTracer() != tr {
+			t.Fatalf("ledgerFirst=%v: a second attach built a new journal or observer", ledgerFirst)
+		}
+		if n := len(s.Channel.Taps); n != 1 {
+			t.Fatalf("ledgerFirst=%v: channel has %d taps, want the journal's one", ledgerFirst, n)
+		}
+		for name, h := range s.W.hosts {
+			if n := len(h.Stack.Taps); n != 1 {
+				t.Fatalf("ledgerFirst=%v: %s's stack has %d taps, want the journal's one", ledgerFirst, name, n)
+			}
+		}
+	}
+}

@@ -56,9 +56,10 @@ type World struct {
 	group    *sim.Group
 	onRunEnd []func()
 
-	reg    *obs.Registry // lazily built by Registry(); see obs.go
-	tracer *obs.Tracer   // installed by AttachTracer; see trace.go
-	dec    *obs.Decoder  // shared by the ledger and the tracer; see obs.go
+	reg    *obs.Registry   // lazily built by Registry(); see obs.go
+	jnl    *obs.Journal    // built by the first packet observer; see obs.go
+	ledger *obs.PingLedger // installed by AttachPingLedger; see obs.go
+	tracer *obs.Tracer     // installed by AttachTracer; see trace.go
 }
 
 // New creates an empty world with a deterministic seed.

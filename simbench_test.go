@@ -270,28 +270,35 @@ func BenchmarkShardedLarge(b *testing.B) {
 	}
 }
 
-// TestObsDisabledAddsNoAllocs pins DESIGN.md §3e's overhead contract:
-// observability is read-side, so a world with a fully built metrics
-// registry — but no sampling, no flight recorder, no taps — runs the
-// scheduler hot loop (After + Step) at exactly zero allocations per
-// event, same as a world with no registry at all. The nil-EventHook
-// check in Step is the only cost of the flight-recorder seam.
 // TestTracingDisabledAddsNoAllocs pins the packet tracer's zero-cost
-// contract: a world that never calls AttachTracer installs none of
-// the trace hooks (MAC, ARP, stack, KISS, channel), so the hot loop
-// still runs at exactly zero allocations per event. The nil-hook
-// checks in the radio and ARP fast paths are the seam's only cost.
+// contract: a world with no packet observer installs none of the
+// trace hooks (MAC, ARP, stack, KISS, channel), so the hot loop still
+// runs at exactly zero allocations per event. The nil-hook checks in
+// the radio and ARP fast paths are the seam's only cost. A ping ledger
+// brings the journal's core taps (stack, channel, drops) but must
+// leave the tracer-only seams (MAC, ARP, KISS) unhooked.
 func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
 	if s.W.Tracer() != nil {
 		t.Fatal("world built with a tracer already attached")
 	}
 	port := s.Gateway.Radio("pr0")
+	if len(s.Gateway.Stack.Taps) != 0 || len(s.Channel.Taps) != 0 {
+		t.Fatal("stack or channel taps installed without a packet observer")
+	}
+	kissTaps := len(port.Driver.Taps)
+	s.W.AttachPingLedger()
+	if s.W.Tracer() != nil {
+		t.Fatal("AttachPingLedger attached a tracer")
+	}
 	if port.RF.TraceMAC != nil {
 		t.Fatal("MAC trace hook installed without AttachTracer")
 	}
 	if port.Driver.Resolver().Trace != nil {
 		t.Fatal("ARP trace hook installed without AttachTracer")
+	}
+	if len(port.Driver.Taps) != kissTaps {
+		t.Fatal("KISS trace tap installed without AttachTracer")
 	}
 	sched := s.W.Sched
 	sched.After(time.Microsecond, func() {})
@@ -305,6 +312,12 @@ func TestTracingDisabledAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// TestObsDisabledAddsNoAllocs pins DESIGN.md §3e's overhead contract:
+// observability is read-side, so a world with a fully built metrics
+// registry — but no sampling, no flight recorder, no taps — runs the
+// scheduler hot loop (After + Step) at exactly zero allocations per
+// event, same as a world with no registry at all. The nil-EventHook
+// check in Step is the only cost of the flight-recorder seam.
 func TestObsDisabledAddsNoAllocs(t *testing.T) {
 	if a := schedulerAllocsPerOp(); a != 0 {
 		t.Fatalf("bare scheduler allocates %.2f objects/op, want 0", a)
