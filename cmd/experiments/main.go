@@ -50,10 +50,9 @@ var index = []struct {
 	{"E12", "RSPF control-plane overhead on the 1200 bps channel", experiments.E12},
 	{"E13", "delivery ratio under link churn: static vs RSPF", experiments.E13},
 	{"E14", "simulator scaling: N-station worlds per wall second", experiments.E14},
-	{"E15", "event-driven CSMA: events per simulated second, before/after", experiments.E15},
 	{"E16", "DAMA vs CSMA: delivery past the saturation knee", experiments.E16},
 	{"E17", "SOCK_RDM vs TCP: goodput and airtime on the 1200 bps path", experiments.E17},
-	{"E18", "sharded engine vs sequential: same replies, fewer events", experiments.E18},
+	{"E18", "sharded engine vs sequential: same replies, same events", experiments.E18},
 }
 
 func main() {

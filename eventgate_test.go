@@ -1,7 +1,7 @@
 // The CI event-count regression gate. Scheduler event counts are pure
 // functions of the seed and the code — the virtual clock makes them
-// bit-deterministic across machines — so unlike the ns/op numbers in
-// BENCH_simcore.json they can be held to exact equality. Any change
+// bit-deterministic across machines — so they can be held to exact
+// equality. Any change
 // that fires one extra event per ping or per CSMA slot shows up here
 // as a hard CI failure, with the committed JSON as the baseline;
 // regenerate it with TestWriteSimCoreBench when the change is
@@ -57,7 +57,7 @@ func TestEventGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, events := seattlePing(false, seattlePingIters)
+	events := seattlePing(seattlePingIters)
 	if events != committed.SeattlePingEventsPerOp {
 		t.Errorf("seattle_ping_events_per_op = %v, committed %v — the datapath's event count changed; "+
 			"regenerate BENCH_simcore.json if intentional", events, committed.SeattlePingEventsPerOp)
@@ -69,7 +69,7 @@ func TestEventGate(t *testing.T) {
 		if !ok {
 			t.Fatalf("baseline has no e14_scaling.%s", key)
 		}
-		pt := experiments.ScaleRun(n, false)
+		pt := experiments.ScaleRun(n)
 		if pt.EventsPerSimS != want.EventsPerSimS {
 			t.Errorf("E14 %s events_per_sim_s = %v, committed %v", key, pt.EventsPerSimS, want.EventsPerSimS)
 		}
@@ -150,10 +150,11 @@ func TestEventGate(t *testing.T) {
 	}
 	// E18 cells: the sharded engine runs both engines per cell and every
 	// non-wall field is deterministic — event rates, crossings, window
-	// counts and delivery all gate exactly. The replies check holds the
-	// sharded engine to the sequential engine's delivery (the engines
-	// must agree run for run, not just match a committed number), which
-	// is the gate's "TestEventGate passes on both engines" obligation.
+	// counts and delivery all gate exactly. The agreement check holds
+	// the sharded engine to the sequential engine's replies and event
+	// rate (the engines run one physics and must agree run for run, not
+	// just match a committed number), which is the gate's "TestEventGate
+	// passes on both engines" obligation.
 	for _, cell := range experiments.E18Cells() {
 		key := fmt.Sprintf("n%d_c%d", cell[0], cell[1])
 		want, ok := committed.E18Parallel[key]
@@ -164,6 +165,10 @@ func TestEventGate(t *testing.T) {
 		if pt.ShardReplies != pt.SeqReplies {
 			t.Errorf("E18 %s: engines disagree — sequential %d replies, sharded %d",
 				key, pt.SeqReplies, pt.ShardReplies)
+		}
+		if pt.ShardEventsPerSimS != pt.SeqEventsPerSimS {
+			t.Errorf("E18 %s: engines disagree — sequential %v events/sim-s, sharded %v",
+				key, pt.SeqEventsPerSimS, pt.ShardEventsPerSimS)
 		}
 		if float64(pt.ShardReplies) != want.Replies {
 			t.Errorf("E18 %s replies = %d, committed %v", key, pt.ShardReplies, want.Replies)

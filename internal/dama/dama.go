@@ -1,5 +1,5 @@
 // Package dama implements demand-assigned polled channel access — the
-// MAC that lifts delivery past the CSMA saturation knee E15 exposed
+// MAC that lifts delivery past the CSMA saturation knee E14 exposed
 // (~25 stations per 1200 bps channel). Where p-persistent CSMA burns
 // airtime on collisions once offered load crosses the channel's
 // capacity, DAMA makes the channel collision-free by construction: one

@@ -58,11 +58,6 @@ type Segment struct {
 	// group, when non-nil, is the sharded engine this segment is a seam
 	// of (DESIGN.md §3g): NICs may live on different shard schedulers,
 	// and frames for them cross as timestamped inter-shard messages.
-	// Unicast frames are routed to the owner of the destination MAC
-	// alone — the model's receive filter discards them everywhere else
-	// anyway (no promiscuous ether), so routing changes which shard does
-	// the discarding, not what is delivered, and it turns the broadcast
-	// fan-out's O(attached NICs) scheduled events per frame into O(1).
 	group *sim.Group
 
 	// blocked holds ordered NIC pairs (from,to) whose frames are
@@ -244,24 +239,13 @@ func (n *NIC) transmit(dst MAC, etherType uint16, payload []byte) {
 	atomic.AddUint64(&g.Frames, 1)
 	atomic.AddUint64(&g.Bytes, uint64(len(frame)))
 	delay := g.txTime(len(payload))
-	if g.group == nil {
-		// Single-loop engine: the seed broadcast physics, one scheduled
-		// reception per attached NIC (the receive filter discards frames
-		// not addressed to it).
-		for _, other := range g.nics {
-			if other == n || g.blocked[[2]*NIC{n, other}] {
-				continue
-			}
-			o := other
-			g.sched.After(delay, func() { o.receive(frame) })
-		}
-		return
-	}
-	// Sharded engine: same wire timing, but unicast frames go only to
-	// the owner of the destination MAC — every other NIC would discard
-	// them on reception anyway — and each delivery lands in the
-	// receiver's shard, cross-shard ones as timestamped seam messages
-	// carrying their own copy of the frame.
+	// A unicast frame goes only to the owner of the destination MAC:
+	// the receive filter discards it everywhere else anyway (no
+	// promiscuous ether), so routing changes no delivery, and it turns
+	// the broadcast fan-out's O(attached NICs) scheduled events per
+	// frame into O(1). A broadcast frame goes to every reachable NIC.
+	// Both engines run this one rule; each delivery lands in the
+	// receiver's shard.
 	at := n.sched.Now().Add(delay)
 	if dst != BroadcastMAC {
 		o := g.byMAC[dst]

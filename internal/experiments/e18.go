@@ -13,7 +13,8 @@ import (
 // instrument). The wall-clock rates and the speedup are machine-
 // relative and never asserted; everything else — event rates, replies,
 // crossings — is a pure function of the seed, and the event gate holds
-// the sharded engine to the sequential engine's delivery exactly.
+// the sharded engine to the sequential engine's delivery and event rate
+// exactly.
 type ParallelPoint struct {
 	Stations int
 	Channels int
@@ -24,8 +25,7 @@ type ParallelPoint struct {
 	Speedup           float64 // wall-dependent: never asserted or gated
 
 	SeqEventsPerSimS   float64 // deterministic
-	ShardEventsPerSimS float64 // deterministic: MAC-routed seams fire far fewer
-	EventReduction     float64 // deterministic: seq/shard event rate ratio
+	ShardEventsPerSimS float64 // deterministic: must equal SeqEventsPerSimS (gated)
 
 	SeqReplies   uint64  // deterministic
 	ShardReplies uint64  // deterministic: must equal SeqReplies (gated)
@@ -44,7 +44,7 @@ var parallelMemo = map[[3]int]ParallelPoint{}
 // over the given channel count, one gateway per channel, one ping per
 // station per minute) twice with the same seed: on the single-loop
 // engine and on the sharded engine with the given worker count — 30 s
-// warm-up untimed, 3 simulated minutes timed, exactly the E14/E15
+// warm-up untimed, 3 simulated minutes timed, exactly the E14
 // protocol. Results are memoized per process.
 func ParallelRun(n, channels, workers int) ParallelPoint {
 	key := [3]int{n, channels, workers}
@@ -90,7 +90,6 @@ func parallelRunFresh(n, channels, workers int) ParallelPoint {
 		Speedup:            shdRate / seqRate,
 		SeqEventsPerSimS:   seqEv,
 		ShardEventsPerSimS: shdEv,
-		EventReduction:     seqEv / shdEv,
 		SeqReplies:         seq.Replies,
 		ShardReplies:       shd.Replies,
 		Delivery:           shd.DeliveryRatio(),
@@ -118,19 +117,17 @@ var e18Cells = [][3]int{
 }
 
 // E18 measures the sharded parallel engine (DESIGN.md §3g) against the
-// single-loop reference. Two effects compound. First — and dominant on
-// any machine — partitioning makes the Ethernet a routed seam: a
-// unicast frame schedules one reception in the destination's shard
-// instead of one per attached NIC, so the event rate falls roughly
-// with the gateway count (the reduction column; deterministic, gated).
-// Second, on multi-core hosts the windows execute shards concurrently
-// (the workers knob; wall-clock only). Delivery is identical on both
-// engines by the construction-order seed argument in world.NewLarge —
-// the table marks any divergence loudly, and the event gate pins it.
+// single-loop reference. Both engines run the same physics — the
+// Ethernet routes a unicast frame to its destination NIC alone on
+// either — so they fire the same events and deliver the same traffic
+// (by the construction-order seed argument in world.NewLarge); the
+// table marks any divergence loudly, and the event gate pins both.
+// What sharding buys is wall time: on multi-core hosts the windows
+// execute shards concurrently (the workers knob; wall-clock only).
 func E18(w io.Writer) *Result {
 	r := newResult("E18", "sharded engine: sim-s/wall-s and events/sim-s vs the single-loop reference")
 	t := newTable(w, "E18", "same seeded worlds on both engines, 3 simulated minutes per cell")
-	t.row("stations", "channels", "workers", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "reduction", "delivered", "crossings")
+	t.row("stations", "channels", "workers", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "delivered", "crossings")
 
 	for _, cell := range e18Cells {
 		pt := ParallelRun(cell[0], cell[1], cell[2])
@@ -140,12 +137,11 @@ func E18(w io.Writer) *Result {
 		r.set("sim_s_per_wall_s_seq"+key, pt.SeqSimSPerWallS)
 		r.set("events_per_sim_s"+key, pt.ShardEventsPerSimS)
 		r.set("events_per_sim_s_seq"+key, pt.SeqEventsPerSimS)
-		r.set("event_reduction"+key, pt.EventReduction)
 		r.set("delivery"+key, pt.Delivery)
 		r.set("crossings"+key, float64(pt.Crossings))
 		r.set("windows"+key, float64(pt.Windows))
 		mark := ""
-		if pt.ShardReplies != pt.SeqReplies {
+		if pt.ShardReplies != pt.SeqReplies || pt.ShardEventsPerSimS != pt.SeqEventsPerSimS {
 			mark = " ENGINES-DIVERGE" // equivalence broken: make it loud
 		}
 		t.row(pt.Stations, pt.Channels, pt.Workers,
@@ -154,14 +150,11 @@ func E18(w io.Writer) *Result {
 			fmt.Sprintf("%.2fx", pt.Speedup),
 			fmt.Sprintf("%.1f", pt.SeqEventsPerSimS),
 			fmt.Sprintf("%.1f", pt.ShardEventsPerSimS),
-			fmt.Sprintf("%.1fx", pt.EventReduction),
 			fmt.Sprintf("%.0f%%%s", pt.Delivery*100, mark),
 			pt.Crossings)
 	}
 	t.flush()
-	fmt.Fprintln(w, "   (delivery is identical on both engines — sharding moves events between")
-	fmt.Fprintln(w, "    schedulers, not physics; the reduction column is the routed-seam effect")
-	fmt.Fprintln(w, "    and grows with the channel count, which is what makes the speedup scale")
-	fmt.Fprintln(w, "    near-linearly in channels even before multi-core execution helps)")
+	fmt.Fprintln(w, "   (events and delivery are identical on both engines — sharding moves events")
+	fmt.Fprintln(w, "    between schedulers, not physics; the speedup column is wall-clock only)")
 	return r
 }

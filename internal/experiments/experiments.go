@@ -81,6 +81,6 @@ func RunAll(w io.Writer) []*Result {
 		F1(w), F2(w),
 		E1(w), E2(w), E3(w), E4(w), E5(w),
 		E6(w), E7(w), E8(w), E9(w), E10(w),
-		E11(w), E12(w), E13(w), E14(w), E15(w), E16(w), E17(w), E18(w),
+		E11(w), E12(w), E13(w), E14(w), E16(w), E17(w), E18(w),
 	}
 }

@@ -347,9 +347,11 @@ type Params struct {
 	FullDuplex bool          // transmit without carrier sense
 
 	// PerSlotCSMA reverts channel access to the seed's polling loop —
-	// one scheduler event per SlotTime per deferred transmitter — for
-	// the event-driven-CSMA equivalence regression tests, mirroring
-	// serial.Line.PerByte.
+	// one scheduler event per SlotTime per deferred transmitter. It is
+	// the reference the event-driven-CSMA equivalence tests compare
+	// against, mirroring serial.Line.PerByte; only tests set it. It is
+	// read when contention starts, so setting it on an idle transceiver
+	// is exact, and the TNC carries it across KISS parameter updates.
 	PerSlotCSMA bool
 }
 

@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"packetradio/internal/ip"
@@ -436,34 +435,17 @@ func (p *pairProber) send() {
 
 // mergePairs rebuilds pairSent, pairReplies and pairRTTs from the
 // slots after every run window, in deterministic (virtual time, shard)
-// order — the same merge the large world applies to its own slots.
+// order — the same merge the large world applies to its own slots
+// (sim.MergeLanes; each slot is appended by one scheduler, so it is in
+// time order).
 func (r *Runner) mergePairs() {
 	r.pairSent, r.pairReplies = 0, 0
-	total := 0
 	for i := range r.slots {
 		r.pairSent += r.slots[i].sent
 		r.pairReplies += r.slots[i].replies
-		total += len(r.slots[i].rtts)
 	}
-	type tagged struct {
-		at   sim.Time
-		slot int
-		rtt  time.Duration
-	}
-	all := make([]tagged, 0, total)
-	for i := range r.slots {
-		for _, s := range r.slots[i].rtts {
-			all = append(all, tagged{at: s.at, slot: i, rtt: s.rtt})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].slot < all[j].slot
-	})
 	r.pairRTTs = r.pairRTTs[:0]
-	for _, s := range all {
-		r.pairRTTs = append(r.pairRTTs, s.rtt)
-	}
+	sim.MergeLanes(r.slots, func(s pairSlot) []pairSample { return s.rtts },
+		func(s *pairSample) sim.Time { return s.at },
+		func(_ int, s *pairSample) { r.pairRTTs = append(r.pairRTTs, s.rtt) })
 }

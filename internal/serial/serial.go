@@ -108,9 +108,9 @@ type Line struct {
 	CorruptRate float64
 
 	// PerByte reverts the line to the seed's one-event-per-byte
-	// delivery chain. It exists for the burst-equivalence regression
-	// tests; set it before the first Write and do not toggle it while
-	// bytes are in flight.
+	// delivery chain. It is the reference the burst-equivalence tests
+	// compare against; only tests set it. Set it before the first Write
+	// and do not toggle it while bytes are in flight.
 	PerByte bool
 
 	a, b End

@@ -173,7 +173,7 @@ func (c *Conn) Config() Config { return c.cfg }
 // --- Open ---------------------------------------------------------------
 
 func (c *Conn) connect() {
-	c.iss = c.proto.sched.Rand().Uint32()
+	c.iss = c.initialSeq()
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
 	c.state = StateSynSent
@@ -195,12 +195,33 @@ func (c *Conn) passiveOpen(seg *Segment) {
 		c.peerMSS = int(seg.MSS)
 	}
 	c.sndWnd = int(seg.Window)
-	c.iss = c.proto.sched.Rand().Uint32()
+	c.iss = c.initialSeq()
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
 	c.state = StateSynRcvd
 	c.sendSYN(true)
 	c.startRexmt()
+}
+
+// initialSeq picks the ISS the RFC 6528 way without the secret: a
+// 4 µs virtual clock plus a hash (FNV-1a) of the 4-tuple. It is a pure
+// function of the connection and the instant, so it draws nothing from
+// the scheduler's shared random stream — whose consumption order
+// differs between the single-loop and sharded engines — and the same
+// connection opens with the same sequence numbers on both.
+func (c *Conn) initialSeq() uint32 {
+	k := c.key
+	tuple := [12]byte{
+		k.localAddr[0], k.localAddr[1], k.localAddr[2], k.localAddr[3],
+		byte(k.localPort >> 8), byte(k.localPort),
+		k.remoteAddr[0], k.remoteAddr[1], k.remoteAddr[2], k.remoteAddr[3],
+		byte(k.remotePort >> 8), byte(k.remotePort),
+	}
+	h := uint32(2166136261)
+	for _, b := range tuple {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return uint32(c.proto.sched.Now()/sim.Time(4*time.Microsecond)) + h
 }
 
 func (c *Conn) sendSYN(withAck bool) {

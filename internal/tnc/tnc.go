@@ -126,15 +126,15 @@ func (t *TNC) applyParams() {
 	// all — it lives in the transceiver's Accessor, which SetParams
 	// notifies through its ParamsChanged hook, so pushing TNC
 	// parameters never disturbs a port's MAC membership.
-	t.rf.SetParams(radio.Params{
-		TXDelay:    time.Duration(t.params.TXDelay) * 10 * time.Millisecond,
-		SlotTime:   time.Duration(t.params.SlotTime) * 10 * time.Millisecond,
-		Persist:    (float64(t.params.Persist) + 1) / 256,
-		FullDuplex: t.params.FullDuplex,
-		// Channel-access mode is a property of the simulation run, not
-		// a KISS parameter: carry it across parameter updates.
-		PerSlotCSMA: t.rf.Params.PerSlotCSMA,
-	})
+	// Start from the radio's current Params so that anything which is
+	// not a KISS parameter (the CSMA reference-path selector) carries
+	// across parameter updates.
+	p := t.rf.Params
+	p.TXDelay = time.Duration(t.params.TXDelay) * 10 * time.Millisecond
+	p.SlotTime = time.Duration(t.params.SlotTime) * 10 * time.Millisecond
+	p.Persist = (float64(t.params.Persist) + 1) / 256
+	p.FullDuplex = t.params.FullDuplex
+	t.rf.SetParams(p)
 }
 
 // fromHost handles one decoded KISS frame arriving from the host.

@@ -25,7 +25,8 @@ type worldTrace struct {
 
 func runSeattleTrace(t *testing.T, perByte bool) worldTrace {
 	t.Helper()
-	s := NewSeattle(SeattleConfig{Seed: 11, NumPCs: 2, PerByteSerial: perByte})
+	s := NewSeattle(SeattleConfig{Seed: 11, NumPCs: 2})
+	useReferencePaths(t, s.W, perByte, false)
 	var tr worldTrace
 	// Monitor every frame (both directions) at the gateway and PC0
 	// drivers, with timestamps.
@@ -101,7 +102,8 @@ func TestSeattleBurstEquivalence(t *testing.T) {
 // at corruption points).
 func TestSeattleBurstEquivalenceCorruptedLine(t *testing.T) {
 	run := func(perByte bool) (string, uint64) {
-		s := NewSeattle(SeattleConfig{Seed: 23, NumPCs: 1, Baud: 600, PerByteSerial: perByte})
+		s := NewSeattle(SeattleConfig{Seed: 23, NumPCs: 1, Baud: 600})
+		useReferencePaths(t, s.W, perByte, false)
 		gw := s.Gateway.Radio("pr0")
 		gw.Host.Line().CorruptRate = 0.002
 		var log string
@@ -132,7 +134,8 @@ func TestSeattleBurstEquivalenceCorruptedLine(t *testing.T) {
 // fewer scheduler events.
 func TestBurstModeFiresFewerEvents(t *testing.T) {
 	count := func(perByte bool) uint64 {
-		s := NewSeattle(SeattleConfig{Seed: 31, NumPCs: 1, PerByteSerial: perByte})
+		s := NewSeattle(SeattleConfig{Seed: 31, NumPCs: 1})
+		useReferencePaths(t, s.W, perByte, false)
 		got := false
 		s.PCs[0].Stack.Ping(InternetIP, 64, func(uint16, time.Duration, ip.Addr) { got = true })
 		s.W.Run(2 * time.Minute)

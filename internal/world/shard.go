@@ -31,7 +31,9 @@ func (w *World) Shards() *sim.Group { return w.group }
 
 // EventsFired reports scheduler events executed across the whole
 // world: the sum over shards on the sharded engine, or Sched.Fired on
-// the single-loop one. Deterministic for a given seed and engine.
+// the single-loop one. Deterministic for a given seed, and equal on
+// both engines, which run one physics (TestShardedMatchesSequential
+// and the E18 event gate hold them to it).
 func (w *World) EventsFired() uint64 {
 	if w.group != nil {
 		return w.group.Fired()

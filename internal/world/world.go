@@ -240,16 +240,6 @@ type RadioConfig struct {
 	// MAC selects the channel-access policy (default CSMA). DAMA ports
 	// share one dama.Controller per channel, created on first use.
 	MAC MACMode
-
-	// PerByteSerial reverts the RS-232 line to the seed's
-	// one-event-per-byte delivery, for burst-equivalence regression
-	// tests.
-	PerByteSerial bool
-
-	// PerSlotCSMA reverts the radio to the seed's one-event-per-slot
-	// contention polling, for CSMA-equivalence regression tests and the
-	// E15 before/after measurement.
-	PerSlotCSMA bool
 }
 
 // AttachRadio builds the full Figure 1 chain on channel ch: a KISS TNC
@@ -258,19 +248,10 @@ type RadioConfig struct {
 func (h *Host) AttachRadio(ch *radio.Channel, ifName string, call string, addr ip.Addr, mask ip.Mask, cfg RadioConfig) *RadioPort {
 	mycall := ax25.MustAddr(call)
 	hostEnd, tncEnd := serial.NewLine(h.sched, cfg.Baud)
-	if cfg.PerByteSerial {
-		hostEnd.Line().PerByte = true
-	}
-	// PerSlotCSMA is the seed CSMA regression mode; a DAMA port never
-	// contends, and the per-slot contend closure cannot be retired by
-	// a later Join (it matters for MoveHost mid-queue), so the combo
-	// is meaningless and quietly dangerous — drop it here.
-	perSlot := cfg.PerSlotCSMA && cfg.MAC != MACDAMA
 	rf := ch.Attach(call, radio.Params{
-		TXDelay:     cfg.TXDelay,
-		SlotTime:    cfg.SlotTime,
-		Persist:     cfg.Persist,
-		PerSlotCSMA: perSlot,
+		TXDelay:  cfg.TXDelay,
+		SlotTime: cfg.SlotTime,
+		Persist:  cfg.Persist,
 	})
 	t := tnc.New(h.sched, tncEnd, rf, mycall)
 	t.Filter = cfg.Filter
@@ -479,14 +460,6 @@ type SeattleConfig struct {
 	// starting state for the RSPF experiments.
 	NoStaticRoutes bool
 
-	// PerByteSerial runs every RS-232 line through the seed's
-	// one-event-per-byte chain (burst-equivalence regression tests).
-	PerByteSerial bool
-
-	// PerSlotCSMA runs every radio through the seed's one-event-per-
-	// slot contention polling (CSMA-equivalence regression tests).
-	PerSlotCSMA bool
-
 	// MAC selects the channel-access policy for every radio port
 	// (default CSMA; prsim's -mac flag lands here).
 	MAC MACMode
@@ -529,7 +502,7 @@ func NewSeattle(cfg SeattleConfig) *Seattle {
 	gw := w.Host("uw-gw")
 	gw.AttachEther(s.Ether, "qe0", GatewayEtherIP, ip.MaskClassB)
 	gw.AttachRadio(s.Channel, "pr0", "N7AKR", GatewayIP, ip.MaskClassA,
-		RadioConfig{Baud: cfg.Baud, Filter: cfg.TNCFilter, MTU: cfg.RadioMTU, PerByteSerial: cfg.PerByteSerial, PerSlotCSMA: cfg.PerSlotCSMA, MAC: cfg.MAC})
+		RadioConfig{Baud: cfg.Baud, Filter: cfg.TNCFilter, MTU: cfg.RadioMTU, MAC: cfg.MAC})
 	s.GatewayGW = gw.MakeGateway("pr0", "qe0", cfg.WithACL)
 	s.Gateway = gw
 
@@ -537,7 +510,7 @@ func NewSeattle(cfg SeattleConfig) *Seattle {
 		gw2 := w.Host("uw-gw2")
 		gw2.AttachEther(s.Ether, "qe0", Gateway2EtherIP, ip.MaskClassB)
 		gw2.AttachRadio(s.Channel, "pr0", "N7BKR", Gateway2IP, ip.MaskClassA,
-			RadioConfig{Baud: cfg.Baud, Filter: cfg.TNCFilter, MTU: cfg.RadioMTU, PerByteSerial: cfg.PerByteSerial, PerSlotCSMA: cfg.PerSlotCSMA, MAC: cfg.MAC})
+			RadioConfig{Baud: cfg.Baud, Filter: cfg.TNCFilter, MTU: cfg.RadioMTU, MAC: cfg.MAC})
 		s.Gateway2GW = gw2.MakeGateway("pr0", "qe0", cfg.WithACL)
 		s.Gateway2 = gw2
 	}
@@ -557,7 +530,7 @@ func NewSeattle(cfg SeattleConfig) *Seattle {
 	for i := 0; i < cfg.NumPCs; i++ {
 		pc := w.Host(fmt.Sprintf("pc%d", i+1))
 		pc.AttachRadio(s.Channel, "pr0", PCCall(i), PCIP(i), ip.MaskClassA,
-			RadioConfig{Baud: cfg.Baud, MTU: cfg.RadioMTU, PerByteSerial: cfg.PerByteSerial, PerSlotCSMA: cfg.PerSlotCSMA, MAC: cfg.MAC})
+			RadioConfig{Baud: cfg.Baud, MTU: cfg.RadioMTU, MAC: cfg.MAC})
 		// Everything off net 44 goes via the gateway's radio address.
 		if !cfg.NoStaticRoutes {
 			pc.Stack.Routes.AddDefault(GatewayIP, "pr0")

@@ -1,10 +1,12 @@
-// Simulator-core benchmarks: the wall-clock cost of stepping the
-// Figure-1 chain, before and after the burst-mode datapath refactor.
-// TestWriteSimCoreBench regenerates BENCH_simcore.json so the repo
-// carries the perf trajectory of the simulator itself alongside the
-// socket-layer numbers in BENCH_sockets.json. Event counts are
-// deterministic (virtual clock, fixed seeds); ns/op values are wall
-// time on whatever machine last regenerated the file.
+// Simulator-core benchmarks: the deterministic cost of stepping the
+// Figure-1 chain and the scale worlds, in scheduler events. Test
+// WriteSimCoreBench regenerates BENCH_simcore.json so the repo carries
+// the event trajectory of the simulator itself alongside the
+// socket-layer numbers in BENCH_sockets.json. Every value is a pure
+// function of the code and the fixed seeds (virtual clock), so
+// regenerating the file on any machine leaves it unchanged unless the
+// simulation itself changed; wall-clock figures live in perfbench,
+// which reports medians with a machine fingerprint.
 package packetradio
 
 import (
@@ -38,14 +40,6 @@ func macCell(n int, mac world.MACMode) map[string]float64 {
 	}
 }
 
-// preBurstSeattlePingNs is BenchmarkSeattlePing at the commit before
-// the burst-mode datapath landed (per-byte serial events, allocating
-// scheduler), measured on the same class of machine that produced the
-// current numbers below. The acceptance bar for the refactor was 3x;
-// see "seattle_ping_speedup" in BENCH_simcore.json for the measured
-// value.
-const preBurstSeattlePingNs = 86598.0
-
 // seattlePingIters is the iteration count behind the events/op numbers
 // in BENCH_simcore.json. TestEventGate recomputes with the same count:
 // the quotient depends on it (ARP refresh and ICMP id sequencing
@@ -53,10 +47,10 @@ const preBurstSeattlePingNs = 86598.0
 // must share it.
 const seattlePingIters = 20000
 
-// seattlePing measures one warm ping through the full chain, returning
-// wall ns/op and scheduler events/op over iters iterations.
-func seattlePing(perByte bool, iters int) (nsPerOp float64, eventsPerOp float64) {
-	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1, PerByteSerial: perByte})
+// seattlePing steps iters warm pings through the full chain and
+// returns the scheduler events per ping.
+func seattlePing(iters int) float64 {
+	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
 	done := false
 	s.PCs[0].Stack.Ping(world.GatewayIP, 8, func(uint16, time.Duration, ip.Addr) { done = true })
 	s.W.Run(5 * time.Minute)
@@ -64,7 +58,6 @@ func seattlePing(perByte bool, iters int) (nsPerOp float64, eventsPerOp float64)
 		panic("warmup ping failed")
 	}
 	firedBefore := s.W.Sched.Fired()
-	start := time.Now()
 	for i := 0; i < iters; i++ {
 		ok := false
 		s.PCs[0].Stack.Ping(world.GatewayIP, 64, func(uint16, time.Duration, ip.Addr) { ok = true })
@@ -73,9 +66,7 @@ func seattlePing(perByte bool, iters int) (nsPerOp float64, eventsPerOp float64)
 			panic("ping lost")
 		}
 	}
-	wall := time.Since(start)
-	return float64(wall.Nanoseconds()) / float64(iters),
-		float64(s.W.Sched.Fired()-firedBefore) / float64(iters)
+	return float64(s.W.Sched.Fired()-firedBefore) / float64(iters)
 }
 
 func schedulerAllocsPerOp() float64 {
@@ -108,18 +99,12 @@ func tracingEventsPerSimS(n int, traced bool) float64 {
 	return float64(lw.W.Sched.Fired()-before) / simWindow.Seconds()
 }
 
-// TestWriteSimCoreBench regenerates BENCH_simcore.json and asserts the
-// deterministic half of the burst-mode claim: the coalesced datapath
-// fires at least 5x fewer scheduler events per ping than the per-byte
-// chain, and the hot scheduler loop does not allocate.
+// TestWriteSimCoreBench regenerates BENCH_simcore.json and asserts
+// the deterministic invariants behind it: the hot scheduler loop does
+// not allocate, DAMA lifts the CSMA knee collision-free, both engines
+// agree exactly, and the tracer perturbs nothing.
 func TestWriteSimCoreBench(t *testing.T) {
-	burstNs, burstEvents := seattlePing(false, seattlePingIters)
-	_, perByteEvents := seattlePing(true, seattlePingIters/10)
-
-	if burstEvents*5 > perByteEvents {
-		t.Fatalf("burst path fires %.0f events/ping vs %.0f per-byte — coalescing regressed",
-			burstEvents, perByteEvents)
-	}
+	seattleEvents := seattlePing(seattlePingIters)
 	allocs := schedulerAllocsPerOp()
 	if allocs != 0 {
 		t.Fatalf("scheduler After+Step allocates %.2f objects/op, want 0", allocs)
@@ -127,27 +112,10 @@ func TestWriteSimCoreBench(t *testing.T) {
 
 	scaling := map[string]any{}
 	for _, n := range []int{10, 50, 100, 200} {
-		edge := experiments.ScaleRun(n, false)
-		slot := experiments.ScaleRun(n, true)
-		if slot.Delivery != edge.Delivery || slot.Deferrals != edge.Deferrals {
-			t.Fatalf("N=%d: per-slot and event-driven CSMA disagree (delivery %.4f vs %.4f, deferrals %d vs %d)",
-				n, slot.Delivery, edge.Delivery, slot.Deferrals, edge.Deferrals)
-		}
-		// Recalibrated for the auto-ARP default mix: without ARP retry
-		// storms the N=200 channels sit at ~80% utilization and the
-		// carrier-edge saving measures 1.5x (it was 3.5x on the
-		// strict-RFC-826 mix); 1.3x still trips if the refactor
-		// vanishes (1.0x).
-		if n == 200 && edge.EventsPerSimS*1.3 > slot.EventsPerSimS {
-			t.Fatalf("N=200 event-driven CSMA fires %.1f events/sim-s vs %.1f per-slot — want >= 1.3x fewer",
-				edge.EventsPerSimS, slot.EventsPerSimS)
-		}
+		pt := experiments.ScaleRun(n)
 		scaling[fmt.Sprintf("n%d", n)] = map[string]float64{
-			"sim_s_per_wall_s":          edge.SimSPerWallS,
-			"events_per_sim_s":          edge.EventsPerSimS,
-			"events_per_sim_s_per_slot": slot.EventsPerSimS,
-			"csma_event_reduction":      slot.EventsPerSimS / edge.EventsPerSimS,
-			"delivery_ratio":            edge.Delivery,
+			"events_per_sim_s": pt.EventsPerSimS,
+			"delivery_ratio":   pt.Delivery,
 		}
 	}
 
@@ -185,31 +153,19 @@ func TestWriteSimCoreBench(t *testing.T) {
 		}
 	}
 
-	// E18: the sharded engine against the single-loop reference. The
-	// wall-clock speedups are recorded for the trajectory but never
-	// asserted (machine-relative); what gates is the deterministic half:
-	// identical replies on both engines for every cell, and the routed-
-	// seam event reduction — the architectural win that holds on any
-	// machine — at least 3x on the widest N=200 world.
+	// E18: the sharded engine against the single-loop reference. Both
+	// engines run the same physics, so every cell must agree exactly on
+	// replies and on the event rate.
 	par := map[string]any{}
 	for _, cell := range experiments.E18Cells() {
 		pt := experiments.ParallelRun(cell[0], cell[1], cell[2])
-		if pt.ShardReplies != pt.SeqReplies {
-			t.Fatalf("N=%d c=%d: engines disagree — sequential %d replies, sharded %d",
-				cell[0], cell[1], pt.SeqReplies, pt.ShardReplies)
-		}
-		if cell[0] == 200 && cell[1] == 100 && pt.EventReduction < 3.0 {
-			t.Fatalf("N=200 c=100: sharded engine fires %.1f events/sim-s vs %.1f single-loop (%.1fx) — want >= 3x fewer",
-				pt.ShardEventsPerSimS, pt.SeqEventsPerSimS, pt.EventReduction)
+		if pt.ShardReplies != pt.SeqReplies || pt.ShardEventsPerSimS != pt.SeqEventsPerSimS {
+			t.Fatalf("N=%d c=%d: engines disagree — sequential %d replies at %v events/sim-s, sharded %d at %v",
+				cell[0], cell[1], pt.SeqReplies, pt.SeqEventsPerSimS, pt.ShardReplies, pt.ShardEventsPerSimS)
 		}
 		par[fmt.Sprintf("n%d_c%d", cell[0], cell[1])] = map[string]float64{
-			"workers":              float64(pt.Workers),
-			"sim_s_per_wall_s":     pt.ShardSimSPerWallS,
-			"sim_s_per_wall_s_seq": pt.SeqSimSPerWallS,
-			"speedup":              pt.Speedup,
 			"events_per_sim_s":     pt.ShardEventsPerSimS,
 			"events_per_sim_s_seq": pt.SeqEventsPerSimS,
-			"event_reduction":      pt.EventReduction,
 			"replies":              float64(pt.ShardReplies),
 			"delivery_ratio":       pt.Delivery,
 			"crossings":            float64(pt.Crossings),
@@ -227,13 +183,9 @@ func TestWriteSimCoreBench(t *testing.T) {
 	}
 
 	report := map[string]any{
-		"description":                              "simulator-core benchmarks: ns values are wall time on the machine that last regenerated this file; events/op values are deterministic",
-		"seattle_ping_ns_per_op_pre_burst":         preBurstSeattlePingNs,
-		"seattle_ping_ns_per_op":                   burstNs,
-		"seattle_ping_speedup":                     preBurstSeattlePingNs / burstNs,
-		"seattle_ping_events_per_op":               burstEvents,
-		"seattle_ping_events_per_op_per_byte_path": perByteEvents,
-		"scheduler_allocs_per_op":                  allocs,
+		"description":                "simulator-core benchmarks: every value is deterministic (virtual clock, fixed seeds); wall-clock figures are perfbench's",
+		"seattle_ping_events_per_op": seattleEvents,
+		"scheduler_allocs_per_op":    allocs,
 		"tracing_overhead": map[string]float64{
 			"events_per_sim_s_untraced_n200": untracedRate,
 			"events_per_sim_s_traced_n200":   tracedRate,
