@@ -446,8 +446,8 @@ func addChatter(s *world.Seattle, loadPct int) {
 	params := radio.DefaultParams()
 	a := s.Channel.Attach("CHAT1", params)
 	b := s.Channel.Attach("CHAT2", params)
-	a.SetReceiver(func([]byte, bool) {})
-	b.SetReceiver(func([]byte, bool) {})
+	a.SetReceiver(func([]byte, *any, bool) {})
+	b.SetReceiver(func([]byte, *any, bool) {})
 	f := ax25.NewUI(ax25.MustAddr("CHAT2"), ax25.MustAddr("CHAT1"), ax25.PIDNone, make([]byte, 120))
 	enc, _ := f.Encode(nil)
 	framed := ax25.AppendFCS(enc)

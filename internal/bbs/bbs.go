@@ -104,16 +104,9 @@ func (b *Board) xmit(f *ax25.Frame) {
 	b.rf.Send(ax25.AppendFCS(enc))
 }
 
-func (b *Board) fromRadio(framed []byte, damaged bool) {
-	if damaged {
-		return
-	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
-		return
-	}
-	f, err := ax25.Decode(body)
-	if err != nil || f.Dst != b.Call || f.NextDigi() >= 0 {
+func (b *Board) fromRadio(framed []byte, memo *any, damaged bool) {
+	f := ax25.Judge(memo, framed, damaged).Frame
+	if f == nil || f.Dst != b.Call || f.NextDigi() >= 0 {
 		return
 	}
 	b.ep.Input(f)

@@ -33,7 +33,7 @@ func newTestNet(seed int64, cfg Config, names ...string) *testNet {
 	for _, name := range names {
 		name := name
 		rf := n.ch.Attach(name, radio.DefaultParams())
-		rf.SetReceiver(func(f []byte, damaged bool) {
+		rf.SetReceiver(func(f []byte, _ *any, damaged bool) {
 			if !damaged {
 				n.heard[name] = append(n.heard[name], fmt.Sprintf("%s@%v", f, n.s.Now()))
 			}

@@ -46,7 +46,7 @@ func FuzzDAMA(f *testing.F) {
 			rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), radio.DefaultParams())
 			heard[i] = make(map[string]int)
 			i := i
-			rfs[i].SetReceiver(func(fr []byte, damaged bool) {
+			rfs[i].SetReceiver(func(fr []byte, _ *any, damaged bool) {
 				if damaged {
 					return
 				}

@@ -65,8 +65,8 @@ func chatter(s *world.Seattle, loadPct int) {
 	params := radio.Params{TXDelay: 300 * time.Millisecond, SlotTime: 100 * time.Millisecond, Persist: 0.25}
 	a := s.Channel.Attach("CHAT1", params)
 	b := s.Channel.Attach("CHAT2", params)
-	b.SetReceiver(func([]byte, bool) {})
-	a.SetReceiver(func([]byte, bool) {})
+	b.SetReceiver(func([]byte, *any, bool) {})
+	a.SetReceiver(func([]byte, *any, bool) {})
 	f := ax25.NewUI(ax25.MustAddr("CHAT2"), ax25.MustAddr("CHAT1"), ax25.PIDNone, make([]byte, frameLen))
 	enc, _ := f.Encode(nil)
 	framed := ax25.AppendFCS(enc)

@@ -278,7 +278,7 @@ func E10(w io.Writer) *Result {
 		heard := 0
 		for i := 0; i < n; i++ {
 			s := ch.Attach(fmt.Sprintf("S%d", i), params)
-			s.SetReceiver(func(_ []byte, damaged bool) {
+			s.SetReceiver(func(_ []byte, _ *any, damaged bool) {
 				if !damaged {
 					heard++
 				}

@@ -135,18 +135,14 @@ func (n *Node) age() {
 	}
 }
 
-func (n *Node) fromRadio(framed []byte, damaged bool) {
-	if damaged {
+func (n *Node) fromRadio(framed []byte, memo *any, damaged bool) {
+	v := ax25.Judge(memo, framed, damaged)
+	if !v.OK {
 		n.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
-		n.Stats.CRCErrors++
-		return
-	}
-	f, err := ax25.Decode(body)
-	if err != nil || f.Kind != ax25.KindUI || f.PID != ax25.PIDNetROM {
+	f := v.Frame
+	if f == nil || f.Kind != ax25.KindUI || f.PID != ax25.PIDNetROM {
 		return
 	}
 	if f.Dst == ax25.Nodes {

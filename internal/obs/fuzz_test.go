@@ -62,11 +62,12 @@ func TestDecodeFrameDresses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes to a journal lane's frame
-// decoder, with and without the DAMA unwrap. It must never panic, and
-// the lane's cached decode must return exactly what a fresh decode of
-// the same bytes returns — also after the caller reuses its buffer and
-// after an intervening different input.
+// FuzzDecodeFrame feeds arbitrary bytes to the journal's frame
+// decoder, with and without the DAMA unwrap. It must never panic and
+// must depend on the bytes alone: decoding a copy gives the same
+// result. Wherever the channel tap's path — ax25.Judge over the
+// unwrapped bytes, then the IP datagram — finds a frame, the decoder
+// must find the same one.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, b := range seedFrames(f) {
 		f.Add(b, true)
@@ -79,25 +80,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		if unwrapDAMA {
 			unwrap = dama.Unwrap
 		}
-		want := resultOf(decodeFrame(unwrap, append([]byte(nil), b...)))
-		d := &NewJournal(unwrap).Lane("world", nil).dec
-		buf := append([]byte(nil), b...)
-		for pass := 0; pass < 2; pass++ {
-			if got := resultOf(d.decode(buf)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("pass %d: cached decode %+v, fresh decode %+v", pass, got, want)
+		got := resultOf(decodeFrame(unwrap, b))
+		if again := resultOf(decodeFrame(unwrap, append([]byte(nil), b...))); !reflect.DeepEqual(again, got) {
+			t.Fatalf("decode of a copy %+v, of the original %+v", again, got)
+		}
+		fr := ax25.Judge(new(any), unwrapMAC(unwrap, b), false).Frame
+		if fr == nil {
+			return
+		}
+		if pkt, err := ip.Unmarshal(fr.Info); err == nil {
+			if want := resultOf(fr, pkt, true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("decodeFrame %+v, the air-rx path %+v", got, want)
 			}
-		}
-		// The caller's buffer changes under the cache: the cache must
-		// notice, then recover the original on the original bytes.
-		for i := range buf {
-			buf[i] ^= 0xFF
-		}
-		other := resultOf(decodeFrame(unwrap, append([]byte(nil), buf...)))
-		if got := resultOf(d.decode(buf)); !reflect.DeepEqual(got, other) {
-			t.Fatalf("decode after the buffer changed: %+v, want %+v", got, other)
-		}
-		if got := resultOf(d.decode(b)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("decode of the original bytes again: %+v, want %+v", got, want)
 		}
 	})
 }

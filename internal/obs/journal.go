@@ -23,7 +23,6 @@
 package obs
 
 import (
-	"bytes"
 	"strconv"
 
 	"packetradio/internal/ax25"
@@ -98,7 +97,7 @@ func (j *Journal) SetHostAddrs(host string, addrs ...ip.Addr) {
 // shard's scheduler clock.
 func (j *Journal) Lane(name string, now func() sim.Time) *JournalLane {
 	return j.lanes.Lane(name, func() *JournalLane {
-		return &JournalLane{j: j, now: now, dec: frameDecoder{unwrap: j.unwrap}}
+		return &JournalLane{j: j, now: now}
 	})
 }
 
@@ -134,13 +133,11 @@ func (j *Journal) Buffered() (held, capacity int) {
 	return held, capacity
 }
 
-// JournalLane is one shard's crossing buffer and frame-decode cache.
-// Its taps run inside that shard's event loop only, so appends need no
-// locks.
+// JournalLane is one shard's crossing buffer. Its taps run inside that
+// shard's event loop only, so appends need no locks.
 type JournalLane struct {
 	j   *Journal
 	now func() sim.Time
-	dec frameDecoder
 	buf []crossing
 }
 
@@ -160,7 +157,7 @@ func (ln *JournalLane) record(pkt *ip.Packet, base uint8, who, arg string, n int
 // recordFrame records a crossing of the datagram inside an AX.25 frame
 // in any dress.
 func (ln *JournalLane) recordFrame(frame []byte, base uint8, who, arg string, n int64) {
-	if _, pkt, ok := ln.dec.decode(frame); ok {
+	if _, pkt, ok := decodeFrame(ln.j.unwrap, frame); ok {
 		ln.record(pkt, base, who, arg, n)
 	}
 }
@@ -182,13 +179,18 @@ func (ln *JournalLane) StackTap(host string) func(dir string, pkt *ip.Packet, if
 }
 
 // AirRx records one receiver's copy of a transmission, from the
-// channel tap. Only the frame's link-layer addressee is on the
-// datagram's path: a clean copy there is an air-rx crossing, a lost
-// one (reason "collision", "noise", ...) a loss. Copies at bystanders
-// are not recorded.
-func (ln *JournalLane) AirRx(receiverCall string, frame []byte, lost bool, reason string) {
-	f, pkt, ok := ln.dec.decode(frame)
-	if !ok || !isCall(f.LinkDst(), receiverCall) {
+// channel tap, reading the verdict the receivers share through memo.
+// Only the frame's link-layer addressee is on the datagram's path: a
+// clean copy there is an air-rx crossing, a lost one (reason
+// "collision", "noise", ...) a loss. Copies at bystanders are not
+// recorded.
+func (ln *JournalLane) AirRx(receiverCall string, frame []byte, memo *any, lost bool, reason string) {
+	f := ax25.Judge(memo, unwrapMAC(ln.j.unwrap, frame), false).Frame
+	if f == nil || !isCall(f.LinkDst(), receiverCall) {
+		return
+	}
+	pkt, err := ip.Unmarshal(f.Info)
+	if err != nil {
 		return
 	}
 	if lost {
@@ -252,11 +254,7 @@ func (ln *JournalLane) ARPTap(who string) func(event string, pkt *ip.Packet) {
 // at any seam: MAC-wrapped on-air bytes, FCS-suffixed TNC output, or
 // the bare frame a KISS line carries. The results alias b.
 func decodeFrame(unwrap func([]byte) ([]byte, bool), b []byte) (f *ax25.Frame, pkt *ip.Packet, ok bool) {
-	if unwrap != nil {
-		if inner, wrapped := unwrap(b); wrapped {
-			b = inner
-		}
-	}
+	b = unwrapMAC(unwrap, b)
 	if body, fcsOK := ax25.CheckFCS(b); fcsOK {
 		b = body
 	}
@@ -271,28 +269,14 @@ func decodeFrame(unwrap func([]byte) ([]byte, bool), b []byte) (f *ax25.Frame, p
 	return f, pkt, true
 }
 
-// frameDecoder is decodeFrame with a one-entry cache. The decode
-// depends only on the input bytes, so returning the last result when
-// the input is byte-equal to the last input is exact — and the channel
-// tap, which hands every receiver of one transmission the same bytes,
-// decodes once per transmission instead of once per receiver. The zero
-// cache already holds the empty input's decode: nothing.
-type frameDecoder struct {
-	unwrap func([]byte) ([]byte, bool)
-	in     []byte // a copy of the last input; the cached results alias it
-	f      *ax25.Frame
-	pkt    *ip.Packet
-	ok     bool
-}
-
-// decode returns decodeFrame(b). The results stay valid only until
-// the next call.
-func (fd *frameDecoder) decode(b []byte) (*ax25.Frame, *ip.Packet, bool) {
-	if !bytes.Equal(b, fd.in) {
-		fd.in = append(fd.in[:0], b...)
-		fd.f, fd.pkt, fd.ok = decodeFrame(fd.unwrap, fd.in)
+// unwrapMAC strips a MAC-layer wrapper off b, if unwrap finds one.
+func unwrapMAC(unwrap func([]byte) ([]byte, bool), b []byte) []byte {
+	if unwrap != nil {
+		if inner, wrapped := unwrap(b); wrapped {
+			return inner
+		}
 	}
-	return fd.f, fd.pkt, fd.ok
+	return b
 }
 
 // isCall reports whether a's callsign, padding dropped, is call —

@@ -73,7 +73,7 @@ func TestOneWayHealExtendsDeferral(t *testing.T) {
 		var collided bool
 		done := make(chan struct{})
 		_ = done
-		waiter.SetReceiver(func(_ []byte, damaged bool) { collided = collided || damaged })
+		waiter.SetReceiver(func(_ []byte, _ *any, damaged bool) { collided = collided || damaged })
 		// Heal the direction before the waiter's first decision slot:
 		// from the waiter's view a carrier just appeared.
 		ch.SetReachable(talker, waiter, true)

@@ -22,7 +22,7 @@ func TestMultiContenderFairness(t *testing.T) {
 	for i := range rfs {
 		rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), DefaultParams())
 		i := i
-		rfs[i].SetReceiver(func(_ []byte, damaged bool) {
+		rfs[i].SetReceiver(func(_ []byte, _ *any, damaged bool) {
 			if !damaged {
 				heard[i]++
 			}
@@ -74,7 +74,7 @@ func TestWaiterWokenExactlyOnce(t *testing.T) {
 	b := ch.Attach("B", p)
 	c := ch.Attach("C", p)
 	var got []sim.Time
-	c.SetReceiver(func(_ []byte, damaged bool) {
+	c.SetReceiver(func(_ []byte, _ *any, damaged bool) {
 		if !damaged {
 			got = append(got, s.Now())
 		}
@@ -114,7 +114,7 @@ func TestRetuneMidDeferMigratesWaiter(t *testing.T) {
 	mob := ch1.Attach("MOB", p)
 	far := ch2.Attach("FAR", p)
 	farHeard := 0
-	far.SetReceiver(func(_ []byte, damaged bool) {
+	far.SetReceiver(func(_ []byte, _ *any, damaged bool) {
 		if !damaged {
 			farHeard++
 		}

@@ -34,7 +34,7 @@ func csmaTrace(t *testing.T, perSlot bool, stations int, ber float64, hidden boo
 		p.PerSlotCSMA = perSlot
 		rf := ch.Attach(fmt.Sprintf("S%d", i), p)
 		i := i
-		rf.SetReceiver(func(f []byte, damaged bool) {
+		rf.SetReceiver(func(f []byte, _ *any, damaged bool) {
 			fmt.Fprintf(&tr, "%v S%d len=%d damaged=%v\n", s.Now(), i, len(f), damaged)
 		})
 		rfs[i] = rf

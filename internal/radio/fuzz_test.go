@@ -49,7 +49,7 @@ func FuzzContention(f *testing.F) {
 			}
 			far := NewChannel(s, 1200)
 			var tr strings.Builder
-			far.Attach("FAR", DefaultParams()).SetReceiver(func(fr []byte, damaged bool) {
+			far.Attach("FAR", DefaultParams()).SetReceiver(func(fr []byte, _ *any, damaged bool) {
 				fmt.Fprintf(&tr, "%v FAR len=%d damaged=%v\n", s.Now(), len(fr), damaged)
 			})
 			rfs := make([]*Transceiver, stations)
@@ -58,7 +58,7 @@ func FuzzContention(f *testing.F) {
 				p.PerSlotCSMA = perSlot
 				rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), p)
 				i := i
-				rfs[i].SetReceiver(func(fr []byte, damaged bool) {
+				rfs[i].SetReceiver(func(fr []byte, _ *any, damaged bool) {
 					fmt.Fprintf(&tr, "%v S%d len=%d damaged=%v\n", s.Now(), i, len(fr), damaged)
 				})
 			}

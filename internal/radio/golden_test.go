@@ -35,8 +35,8 @@ func outcomeDigest() string {
 	ch.BitErrorRate = 2e-4
 	ch2 := NewChannel(s, 1200)
 	h := sha256.New()
-	tap := func(name string) func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
-		return func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
+	tap := func(name string) func(sender, receiver *Transceiver, payload []byte, memo *any, outcome TapOutcome, consumed bool) {
+		return func(sender, receiver *Transceiver, payload []byte, memo *any, outcome TapOutcome, consumed bool) {
 			fmt.Fprintf(h, "%s %d %s>%s %v %v %d\n", name, s.Now(), sender.Name, receiver.Name, outcome, consumed, len(payload))
 		}
 	}
@@ -59,7 +59,7 @@ func outcomeDigest() string {
 	all = append(all, away, newcomer, hub)
 	for _, rf := range all {
 		name := rf.Name
-		rf.SetReceiver(func(fr []byte, damaged bool) {
+		rf.SetReceiver(func(fr []byte, _ *any, damaged bool) {
 			fmt.Fprintf(h, "rx %d %s %d %v\n", s.Now(), name, len(fr), damaged)
 		})
 	}

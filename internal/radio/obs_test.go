@@ -111,7 +111,7 @@ func TestChannelTapSeesOutcomes(t *testing.T) {
 		outcome          TapOutcome
 	}
 	var taps []tapEvent
-	ch.Taps = append(ch.Taps, func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
+	ch.Taps = append(ch.Taps, func(sender, receiver *Transceiver, payload []byte, memo *any, outcome TapOutcome, consumed bool) {
 		taps = append(taps, tapEvent{sender.Name, receiver.Name, outcome})
 	})
 

@@ -91,10 +91,11 @@ type Channel struct {
 	// Taps observe every per-receiver delivery outcome, in order:
 	// payload is what the receiver's MAC handed up (DAMA-unwrapped for
 	// data; the raw on-air bytes for half-duplex misses, where no MAC
-	// ran), consumed reports a frame the MAC swallowed as channel-access
+	// ran), memo the transmission's shared slot (see SetReceiver),
+	// consumed reports a frame the MAC swallowed as channel-access
 	// control. Attach by appending. Purely read-side — a tap must not
 	// touch the channel.
-	Taps []func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool)
+	Taps []func(sender, receiver *Transceiver, payload []byte, memo *any, outcome TapOutcome, consumed bool)
 
 	// BitRate is the on-air signalling rate in bits per second.
 	BitRate int
@@ -281,6 +282,7 @@ type transmission struct {
 	sender     *Transceiver
 	from       int // sender's slot
 	frame      []byte
+	memo       any  // the receivers' shared slot, opaque to radio
 	control    bool // MAC control frame (poll), for overhead accounting
 	start, end sim.Time
 	done       *sim.Event // delivery at end-of-frame; cancelled by Retune
@@ -305,10 +307,11 @@ func (c *Channel) newTransmission() *transmission {
 }
 
 // release returns a finished or cut record to the pool. The frame is
-// dropped, not recycled: damaged receivers were handed views of it.
+// dropped, not recycled: receivers were handed views of it. The memo
+// is cleared, so no verdict outlives its transmission.
 func (c *Channel) release(tx *transmission) {
 	clear(tx.damaged)
-	tx.sender, tx.frame, tx.done = nil, nil, nil
+	tx.sender, tx.frame, tx.memo, tx.done = nil, nil, nil, nil
 	c.txFree = append(c.txFree, tx)
 }
 
@@ -384,9 +387,9 @@ func (p Params) slotTime() time.Duration {
 }
 
 // Transceiver is one radio on the channel. Frames are queued with Send
-// and transmitted under CSMA; intact receptions are delivered to the
-// receive callback, damaged ones to the damage callback (which a TNC
-// uses to count CRC errors).
+// and transmitted under CSMA; every reception is delivered to the
+// receive callback with its damage flag (a TNC counts damaged ones as
+// CRC errors).
 type Transceiver struct {
 	Name   string
 	Params Params
@@ -419,7 +422,7 @@ type Transceiver struct {
 
 	ch  *Channel
 	idx int // slot on ch
-	rx  func(frame []byte, damaged bool)
+	rx  func(frame []byte, memo *any, damaged bool)
 	acc Accessor // channel-access policy; csma unless SetAccessor replaced it
 
 	// frameDeferrals counts slot waits burned by the current head-of-
@@ -537,18 +540,18 @@ func (t *Transceiver) Retune(to *Channel) {
 			}
 			if !r.Params.FullDuplex && r.txStart < now && r.txEnd > tx.start {
 				r.Stats.HalfDuplexMiss++
-				old.tap(t, r, tx.frame, TapTruncated, false)
+				old.tap(t, r, tx.frame, &tx.memo, TapTruncated, false)
 				continue
 			}
 			payload, consumed := r.acc.Deliver(r, tx.frame, true)
-			old.tap(t, r, payload, TapTruncated, consumed)
+			old.tap(t, r, payload, &tx.memo, TapTruncated, consumed)
 			if consumed {
 				continue
 			}
 			r.Stats.FramesDamaged++
 			old.Stats.FramesDamaged++
 			if r.rx != nil {
-				r.rx(payload, true)
+				r.rx(payload, &tx.memo, true)
 			}
 		}
 		old.release(tx)
@@ -573,11 +576,12 @@ func (t *Transceiver) Retune(to *Channel) {
 	}
 }
 
-// SetReceiver installs the frame-delivery callback. An intact frame
-// (damaged false) is the receiver's own copy to keep. A damaged frame
-// is a read-only view shared with every other receiver of the same
-// transmission: the callback must neither retain nor mutate it.
-func (t *Transceiver) SetReceiver(rx func(frame []byte, damaged bool)) { t.rx = rx }
+// SetReceiver installs the frame-delivery callback. Every receiver of
+// a transmission, intact or damaged, gets a read-only view of the same
+// bytes, to copy if kept past the call, and the same memo slot, where
+// the first receiver may leave what it derives from them (ax25.Judge's
+// verdict); radio clears it when the transmission ends.
+func (t *Transceiver) SetReceiver(rx func(frame []byte, memo *any, damaged bool)) { t.rx = rx }
 
 // SetParams installs new channel-access parameters (the TNC pushes
 // these on KISS parameter frames). Writing the Params field directly
@@ -652,7 +656,8 @@ func (t *Transceiver) CSMADeferrals() uint64 {
 }
 
 // Send queues one frame (a fully framed byte string, FCS included) for
-// CSMA transmission. The slice is copied.
+// CSMA transmission. Send takes ownership of the slice: the caller
+// must not write it again, since every receiver will read these bytes.
 func (t *Transceiver) Send(frame []byte) {
 	if t.MaxQueue > 0 && len(t.queue) >= t.MaxQueue {
 		t.Stats.QueueDrops++
@@ -661,7 +666,7 @@ func (t *Transceiver) Send(frame []byte) {
 		}
 		return
 	}
-	t.queue = append(t.queue, append([]byte(nil), frame...))
+	t.queue = append(t.queue, frame)
 	t.Stats.FramesQueued++
 	if t.TraceMAC != nil {
 		t.TraceMAC("queue", frame, 0)
@@ -934,9 +939,9 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	tx.done = c.sched.At(tx.end, tx.complete)
 }
 
-func (c *Channel) tap(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool) {
+func (c *Channel) tap(sender, receiver *Transceiver, payload []byte, memo *any, outcome TapOutcome, consumed bool) {
 	for _, fn := range c.Taps {
-		fn(sender, receiver, payload, outcome, consumed)
+		fn(sender, receiver, payload, memo, outcome, consumed)
 	}
 }
 
@@ -963,7 +968,7 @@ func (c *Channel) complete(tx *transmission) {
 		// damaged copy is seen (its receiver was disconnected).
 		if !r.Params.FullDuplex && r.txStart < tx.end && r.txEnd > tx.start {
 			r.Stats.HalfDuplexMiss++
-			c.tap(sender, r, tx.frame, TapHalfDuplex, false)
+			c.tap(sender, r, tx.frame, &tx.memo, TapHalfDuplex, false)
 			continue
 		}
 		if !damaged && c.BitErrorRate > 0 {
@@ -984,7 +989,7 @@ func (c *Channel) complete(tx *transmission) {
 			} else if damaged {
 				outcome = TapNoise
 			}
-			c.tap(sender, r, payload, outcome, consumed)
+			c.tap(sender, r, payload, &tx.memo, outcome, consumed)
 		}
 		if consumed {
 			continue
@@ -996,13 +1001,8 @@ func (c *Channel) complete(tx *transmission) {
 			r.Stats.FramesHeard++
 			c.Stats.FramesHeard++
 		}
-		if r.rx == nil {
-			continue
-		}
-		if damaged {
-			r.rx(payload, true)
-		} else {
-			r.rx(append([]byte(nil), payload...), false)
+		if r.rx != nil {
+			r.rx(payload, &tx.memo, damaged)
 		}
 	}
 	c.release(tx)

@@ -18,7 +18,7 @@ type capture struct {
 	damaged int
 }
 
-func (c *capture) rx(f []byte, d bool) {
+func (c *capture) rx(f []byte, _ *any, d bool) {
 	if d {
 		c.damaged++
 		return
@@ -69,7 +69,7 @@ func TestAirtimeAt1200bps(t *testing.T) {
 	a := ch.Attach("a", fastParams())
 	b := ch.Attach("b", fastParams())
 	var at sim.Time
-	b.SetReceiver(func([]byte, bool) { at = s.Now() })
+	b.SetReceiver(func([]byte, *any, bool) { at = s.Now() })
 	// 148 bytes + 2 flags = 150 bytes = 1200 bits = 1 second, plus
 	// 100 ms TXDELAY.
 	a.Send(make([]byte, 148))
@@ -299,7 +299,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	ch := NewChannel(s, 1200)
 	a := ch.Attach("a", fastParams())
 	b := ch.Attach("b", fastParams())
-	b.SetReceiver(func([]byte, bool) {})
+	b.SetReceiver(func([]byte, *any, bool) {})
 	a.Send(make([]byte, 148)) // 1s airtime + 100ms txdelay
 	s.Run()
 	if ch.Stats.Airtime != 1100*time.Millisecond {

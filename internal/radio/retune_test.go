@@ -12,7 +12,7 @@ func TestSetReachableToggle(t *testing.T) {
 	a := ch.Attach("A", Params{})
 	b := ch.Attach("B", Params{})
 	heard := 0
-	b.SetReceiver(func(_ []byte, damaged bool) {
+	b.SetReceiver(func(_ []byte, _ *any, damaged bool) {
 		if !damaged {
 			heard++
 		}
@@ -44,8 +44,8 @@ func TestRetuneMovesStation(t *testing.T) {
 	home := ch1.Attach("HOME", Params{})
 	away := ch2.Attach("AWAY", Params{})
 	homeHeard, awayHeard := 0, 0
-	home.SetReceiver(func(_ []byte, _ bool) { homeHeard++ })
-	away.SetReceiver(func(_ []byte, _ bool) { awayHeard++ })
+	home.SetReceiver(func(_ []byte, _ *any, _ bool) { homeHeard++ })
+	away.SetReceiver(func(_ []byte, _ *any, _ bool) { awayHeard++ })
 
 	mob.Send([]byte("hi"))
 	s.Run()
@@ -81,7 +81,7 @@ func TestRetuneCarriesQueuedFrames(t *testing.T) {
 	mob := ch1.Attach("MOB", Params{})
 	away := ch2.Attach("AWAY", Params{})
 	awayHeard := 0
-	away.SetReceiver(func(_ []byte, _ bool) { awayHeard++ })
+	away.SetReceiver(func(_ []byte, _ *any, _ bool) { awayHeard++ })
 
 	// Queue without running the scheduler, then move: the frames must
 	// go out on the new channel.
@@ -101,7 +101,7 @@ func TestRetuneMidFrameDamagesOldChannelCopy(t *testing.T) {
 	mob := ch1.Attach("MOB", Params{})
 	home := ch1.Attach("HOME", Params{})
 	var intact, damaged int
-	home.SetReceiver(func(_ []byte, d bool) {
+	home.SetReceiver(func(_ []byte, _ *any, d bool) {
 		if d {
 			damaged++
 		} else {

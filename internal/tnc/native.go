@@ -206,18 +206,14 @@ func (n *Native) command(line string) {
 	}
 }
 
-func (n *Native) fromRadio(framed []byte, damaged bool) {
-	if damaged {
+func (n *Native) fromRadio(framed []byte, memo *any, damaged bool) {
+	v := ax25.Judge(memo, framed, damaged)
+	if !v.OK {
 		n.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
-		n.Stats.CRCErrors++
-		return
-	}
-	f, err := ax25.Decode(body)
-	if err != nil {
+	f := v.Frame
+	if f == nil {
 		return
 	}
 	// Digipeat first: the frame may be routed through us.

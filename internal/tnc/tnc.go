@@ -155,25 +155,21 @@ func (t *TNC) fromHost(f kiss.Frame) {
 }
 
 // fromRadio handles one frame heard on the channel.
-func (t *TNC) fromRadio(framed []byte, damaged bool) {
-	if damaged {
+func (t *TNC) fromRadio(framed []byte, memo *any, damaged bool) {
+	v := ax25.Judge(memo, framed, damaged)
+	if !v.OK {
 		t.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
-		t.Stats.CRCErrors++
-		return
-	}
-	if t.Filter == AddressFilter && !t.wantFrame(body) {
+	if t.Filter == AddressFilter && !t.wantFrame(v.Frame) {
 		t.Stats.Filtered++
 		return
 	}
-	enc := kiss.Encode(nil, 0, body)
+	enc := kiss.Encode(nil, 0, v.Body)
 	if !t.hostQ.Enqueue(enc) {
 		t.Stats.HostDrops++
 		if t.OnDrop != nil {
-			t.OnDrop("tnc host queue overflow", body)
+			t.OnDrop("tnc host queue overflow", v.Body)
 		}
 		return
 	}
@@ -181,9 +177,8 @@ func (t *TNC) fromRadio(framed []byte, damaged bool) {
 }
 
 // wantFrame implements the paper's proposed selective filter.
-func (t *TNC) wantFrame(body []byte) bool {
-	f, err := ax25.Decode(body)
-	if err != nil {
+func (t *TNC) wantFrame(f *ax25.Frame) bool {
+	if f == nil {
 		return false // unparseable frames are noise
 	}
 	dst := f.LinkDst()
@@ -233,18 +228,14 @@ func NewDigipeater(call ax25.Addr, rf *radio.Transceiver) *Digipeater {
 	return d
 }
 
-func (d *Digipeater) fromRadio(framed []byte, damaged bool) {
-	if damaged {
+func (d *Digipeater) fromRadio(framed []byte, memo *any, damaged bool) {
+	v := ax25.Judge(memo, framed, damaged)
+	if !v.OK {
 		d.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
-		d.Stats.CRCErrors++
-		return
-	}
-	f, err := ax25.Decode(body)
-	if err != nil {
+	f := v.Frame
+	if f == nil {
 		d.Stats.Ignored++
 		return
 	}

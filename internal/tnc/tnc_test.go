@@ -2,6 +2,7 @@ package tnc
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -350,5 +351,77 @@ func TestNativeDigipeat(t *testing.T) {
 	}
 	if len(b.rx) != 1 {
 		t.Fatalf("b received %d frames", len(b.rx))
+	}
+}
+
+// TestSharedFramePoisonedAfterDelivery: every receiver of one
+// transmission reads the same bytes and the same decoded frame, so
+// neither may be modified, and whatever a consumer keeps past its
+// receive call must be its own copy. A last receiver checks the shared
+// frame against the bytes, then overwrites the bytes once every other
+// receiver has been handed them — before any of them has serialised to
+// its host or keyed up a repeat, and while LAPB's delivered data is
+// still held. What the KISS TNC queued for its host, what the
+// digipeater re-sent and what LAPB delivered must be unharmed.
+func TestSharedFramePoisonedAfterDelivery(t *testing.T) {
+	s := sim.NewScheduler(1)
+	ch := radio.NewChannel(s, 1200)
+	params := radio.Params{TXDelay: 100 * time.Millisecond, Persist: 1.0, SlotTime: 50 * time.Millisecond}
+	snd := ch.Attach("SND", params)
+	mon := newStation(s, ch, "MON", 1200) // promiscuous KISS TNC on a slow line
+	far := newStation(s, ch, "FAR", 9600)
+	NewDigipeater(ax25.MustAddr("RLY"), ch.Attach("RLY", params))
+	ta, _ := newTerminal(s, ch, "AAA")
+	_, nb := newTerminal(s, ch, "BBB")
+	ch.SetReachable(snd, far.tnc.rf, false) // FAR hears SND only via RLY
+	poisoned := 0
+	ch.Attach("POISON", params).SetReceiver(func(fr []byte, memo *any, damaged bool) {
+		if shared, fresh := ax25.Judge(memo, fr, damaged), ax25.Judge(new(any), fr, damaged); !damaged && !reflect.DeepEqual(shared.Frame, fresh.Frame) {
+			t.Errorf("a receiver modified the shared frame: %v, the bytes say %v", shared.Frame, fresh.Frame)
+		}
+		for i := range fr {
+			fr[i] = 0xFF
+		}
+		poisoned++
+	})
+
+	enc, err := ax25.NewUI(ax25.MustAddr("FAR"), ax25.MustAddr("SND"), ax25.PIDNone, []byte("via relay")).
+		Via(ax25.MustAddr("RLY")).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd.Send(ax25.AppendFCS(enc))
+	s.RunFor(20 * time.Second)
+	ta.typeLine("CONNECT BBB")
+	s.RunFor(20 * time.Second)
+	if nb.conn == nil {
+		t.Fatal("AAA did not connect to BBB")
+	}
+	var delivered [][]byte // kept as handed over: LAPB promises its own copy
+	nb.conn.OnData = func(p []byte) { delivered = append(delivered, p) }
+	ta.typeLine("hello from aaa")
+	s.RunFor(60 * time.Second)
+
+	if poisoned == 0 {
+		t.Fatal("the poisoning receiver heard nothing")
+	}
+	heard := func(st *station, repeated bool) bool {
+		for _, kf := range st.rx {
+			f, err := ax25.Decode(kf.Payload)
+			if err == nil && string(f.Info) == "via relay" && f.Src == ax25.MustAddr("SND") &&
+				len(f.Digi) == 1 && f.Digi[0].Repeated == repeated {
+				return true
+			}
+		}
+		return false
+	}
+	if !heard(mon, false) || !heard(mon, true) {
+		t.Fatalf("the KISS TNC's host lost the original or the repeat: %d frames", len(mon.rx))
+	}
+	if !heard(far, true) {
+		t.Fatalf("the digipeater's repeat arrived damaged: %d frames", len(far.rx))
+	}
+	if got := string(bytes.Join(delivered, nil)); got != "hello from aaa\r" {
+		t.Fatalf("LAPB delivered %q", got)
 	}
 }

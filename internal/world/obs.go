@@ -179,8 +179,8 @@ func (w *World) journal() *obs.Journal {
 	for _, ch := range w.channels {
 		sched := ch.Scheduler()
 		ln := j.Lane(w.laneName(sched), sched.Now)
-		ch.Taps = append(ch.Taps, func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
-			ln.AirRx(receiver.Name, payload, outcome != radio.TapOK, outcome.String())
+		ch.Taps = append(ch.Taps, func(_, receiver *radio.Transceiver, payload []byte, memo *any, outcome radio.TapOutcome, _ bool) {
+			ln.AirRx(receiver.Name, payload, memo, outcome != radio.TapOK, outcome.String())
 		})
 	}
 	for name, h := range w.hosts {
