@@ -172,9 +172,6 @@ func (m *MultiRecorder) Lane(name string, capacity int) *FlightRecorder {
 	return m.lanes.Lane(name, func() *FlightRecorder { return NewFlightRecorder(capacity) })
 }
 
-// Lanes lists the lane names in creation order.
-func (m *MultiRecorder) Lanes() []string { return append([]string(nil), m.lanes.Names()...) }
-
 // Len sums held events across lanes.
 func (m *MultiRecorder) Len() int {
 	n := 0

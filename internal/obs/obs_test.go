@@ -52,18 +52,6 @@ func TestRegistryViewsAreLive(t *testing.T) {
 		t.Fatal("absent name resolved")
 	}
 
-	// Owned instruments are idempotent per name.
-	c := r.Counter("b.events")
-	c.Add(3)
-	if c2 := r.Counter("b.events"); c2 != c {
-		t.Fatal("second Counter call returned a different instrument")
-	}
-	g := r.Gauge("b.depth")
-	g.Set(-4)
-	if v, _ := r.Value("b.depth"); v != -4 {
-		t.Fatalf("gauge = %v, want -4", v)
-	}
-
 	// Re-registration replaces (worlds rebuilt between runs).
 	var n2 uint64 = 99
 	r.RegisterUint64("a.count", &n2)
@@ -133,6 +121,39 @@ func TestHistogram(t *testing.T) {
 	}
 	if q := h.Quantile(0.5); q != 1 {
 		t.Fatalf("median bucket edge = %v, want 1", q)
+	}
+}
+
+// TestWriteText pins the netstat rendering: names aligned to the
+// widest listed one, a blank line between groups of the first two name
+// segments, a histogram as a percentile summary, and the prefix filter.
+func TestWriteText(t *testing.T) {
+	r := NewRegistry()
+	var a, b, c uint64 = 1, 2, 3
+	r.RegisterUint64("host.pc1.ip.forwarded", &a)
+	r.RegisterUint64("host.pc1.tcp.persists", &b)
+	r.RegisterUint64("radio.ch1.frames_heard", &c)
+	r.RegisterFunc("host.gw.load", func() float64 { return 0.25 })
+	h := r.Histogram("host.pc1.rtt", []float64{1, 2})
+	h.Observe(0.5)
+	h.Observe(1.5)
+
+	var buf bytes.Buffer
+	r.WriteText(&buf, "")
+	want := "host.gw.load           0.25\n" +
+		"\n" +
+		"host.pc1.ip.forwarded  1\n" +
+		"host.pc1.rtt           count=2 mean=1 p50=2 p95=2 p99=2\n" +
+		"host.pc1.tcp.persists  2\n" +
+		"\n" +
+		"radio.ch1.frames_heard 3\n"
+	if buf.String() != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	buf.Reset()
+	r.WriteText(&buf, "radio.")
+	if buf.String() != "radio.ch1.frames_heard 3\n" {
+		t.Fatalf("prefix radio.: %q", buf.String())
 	}
 }
 

@@ -17,34 +17,10 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"packetradio/internal/sim"
 )
-
-// Counter is a registry-owned monotonic counter for call sites that
-// have no existing struct field to register. Atomic so auxiliary
-// goroutines (a live dump, a test harness) may read mid-run.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { atomic.AddUint64(&c.v, 1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { atomic.AddUint64(&c.v, n) }
-
-// Value reads the count.
-func (c *Counter) Value() uint64 { return atomic.LoadUint64(&c.v) }
-
-// Gauge is a registry-owned instantaneous value.
-type Gauge struct{ v int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { atomic.StoreInt64(&g.v, v) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
 // Histogram is a fixed-bucket distribution. Bounds are upper edges;
 // one overflow bucket catches everything past the last bound.
@@ -119,14 +95,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// entry is one registered metric: a name plus a way to read it. owned
-// holds the *Counter or *Gauge the registry created for this name, so
-// repeated Counter/Gauge calls return the same instrument.
+// entry is one registered metric: a name plus a way to read it.
 type entry struct {
-	name  string
-	read  func() float64
-	hist  *Histogram
-	owned any
+	name string
+	read func() float64
+	hist *Histogram
 }
 
 // Registry maps hierarchical dotted names (radio.145_01.collisions,
@@ -174,30 +147,6 @@ func (r *Registry) RegisterDuration(name string, p *time.Duration) {
 // RegisterFunc registers a computed metric.
 func (r *Registry) RegisterFunc(name string, f func() float64) {
 	r.add(name, entry{name: name, read: f})
-}
-
-// Counter creates (or returns) a registry-owned counter.
-func (r *Registry) Counter(name string) *Counter {
-	if i, ok := r.names[name]; ok {
-		if c, ok := r.entries[i].owned.(*Counter); ok {
-			return c
-		}
-	}
-	c := &Counter{}
-	r.add(name, entry{name: name, read: func() float64 { return float64(c.Value()) }, owned: c})
-	return c
-}
-
-// Gauge creates (or returns) a registry-owned gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if i, ok := r.names[name]; ok {
-		if g, ok := r.entries[i].owned.(*Gauge); ok {
-			return g
-		}
-	}
-	g := &Gauge{}
-	r.add(name, entry{name: name, read: func() float64 { return float64(g.Value()) }, owned: g})
-	return g
 }
 
 // Histogram creates (or returns) a named fixed-bucket histogram. Its
@@ -287,9 +236,6 @@ func (r *Registry) SetLabel(key, value string) {
 	r.labels[key] = value
 }
 
-// Labels returns the registry's labels (nil if none were set).
-func (r *Registry) Labels() map[string]string { return r.labels }
-
 // Sample is one named value in a snapshot.
 type Sample struct {
 	Name  string
@@ -345,8 +291,12 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText dumps a snapshot as aligned "name value" lines, optionally
-// restricted to names with the given prefix.
+// WriteText dumps a snapshot as aligned "name value" lines — the
+// simulation's `netstat -s` — grouped by the first two name segments
+// with a blank line between groups. prefix, when non-empty, restricts
+// the listing ("host.pc1", "radio."). A histogram renders as a one-line
+// percentile summary (count, mean, p50/p95/p99) instead of its sample
+// count.
 func (r *Registry) WriteText(w io.Writer, prefix string) {
 	snap := r.Snapshot()
 	width := 0
@@ -355,8 +305,25 @@ func (r *Registry) WriteText(w io.Writer, prefix string) {
 			width = len(s.Name)
 		}
 	}
+	lastGroup := ""
 	for _, s := range snap {
 		if !strings.HasPrefix(s.Name, prefix) {
+			continue
+		}
+		group := s.Name
+		if i := strings.Index(group, "."); i >= 0 {
+			if j := strings.Index(group[i+1:], "."); j >= 0 {
+				group = group[:i+1+j]
+			}
+		}
+		if lastGroup != "" && group != lastGroup {
+			fmt.Fprintln(w)
+		}
+		lastGroup = group
+		if h, ok := r.HistogramFor(s.Name); ok {
+			fmt.Fprintf(w, "%-*s count=%d mean=%s p50=%s p95=%s p99=%s\n",
+				width, s.Name, h.Count(), FormatValue(h.Mean()),
+				FormatValue(h.Quantile(0.50)), FormatValue(h.Quantile(0.95)), FormatValue(h.Quantile(0.99)))
 			continue
 		}
 		fmt.Fprintf(w, "%-*s %v\n", width, s.Name, FormatValue(s.Value))
@@ -379,7 +346,12 @@ func FormatValue(v float64) string {
 // the one registry feature that schedules events — leave it off for
 // gated runs.
 func (r *Registry) StartSampling(sched *sim.Scheduler, period time.Duration) *sim.Ticker {
-	r.ensureCols()
+	if r.cols == nil {
+		r.cols = []string{}
+		for _, s := range r.Snapshot() {
+			r.cols = append(r.cols, s.Name)
+		}
+	}
 	return sched.Every(period, func() { r.sampleRow(sched.Now()) })
 }
 
@@ -391,20 +363,6 @@ func (r *Registry) sampleRow(t sim.Time) {
 		}
 	}
 	r.rows = append(r.rows, row)
-}
-
-// SampleNow appends one time-series row at the current instant without
-// a ticker (experiment harnesses sample at phase boundaries).
-func (r *Registry) SampleNow(sched *sim.Scheduler) { r.ensureCols(); r.sampleRow(sched.Now()) }
-
-func (r *Registry) ensureCols() {
-	if r.cols == nil {
-		snap := r.Snapshot()
-		r.cols = make([]string, len(snap))
-		for i, s := range snap {
-			r.cols[i] = s.Name
-		}
-	}
 }
 
 // WriteCSV writes the sampled time series: a header of t_s plus every

@@ -3,7 +3,6 @@ package world
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"packetradio/internal/dama"
@@ -78,48 +77,12 @@ func (w *World) Registry() *obs.Registry {
 	return r
 }
 
-// Netstat writes the full registry snapshot as aligned name/value
-// lines, grouped by top-level prefix with a blank line between groups
-// — the simulation's `netstat -s`. prefix, when non-empty, restricts
-// the listing ("host.pc1", "radio."). Histograms render as a one-line
-// percentile summary (count, mean, p50/p95/p99) instead of a raw
-// sample count; the JSON and CSV forms are unchanged.
+// Netstat writes the registry snapshot as the simulation's `netstat
+// -s` (obs.Registry.WriteText): aligned name/value lines grouped by
+// prefix, histograms as percentile summaries. prefix, when non-empty,
+// restricts the listing ("host.pc1", "radio.").
 func (w *World) Netstat(out io.Writer, prefix string) {
-	snap := w.Registry().Snapshot()
-	width := 0
-	var names []string
-	for _, s := range snap {
-		if !strings.HasPrefix(s.Name, prefix) {
-			continue
-		}
-		names = append(names, s.Name)
-		if len(s.Name) > width {
-			width = len(s.Name)
-		}
-	}
-	sort.Strings(names)
-	lastGroup := ""
-	for _, name := range names {
-		group := name
-		if i := strings.Index(name, "."); i >= 0 {
-			if j := strings.Index(name[i+1:], "."); j >= 0 {
-				group = name[:i+1+j]
-			}
-		}
-		if lastGroup != "" && group != lastGroup {
-			fmt.Fprintln(out)
-		}
-		lastGroup = group
-		if h, ok := w.Registry().HistogramFor(name); ok {
-			fmt.Fprintf(out, "%-*s count=%d mean=%s p50=%s p95=%s p99=%s\n",
-				width, name, h.Count(), obs.FormatValue(h.Mean()),
-				obs.FormatValue(h.Quantile(0.50)), obs.FormatValue(h.Quantile(0.95)),
-				obs.FormatValue(h.Quantile(0.99)))
-			continue
-		}
-		v, _ := w.Registry().Value(name)
-		fmt.Fprintf(out, "%-*s %v\n", width, name, obs.FormatValue(v))
-	}
+	w.Registry().WriteText(out, prefix)
 }
 
 // EnableFlightRecorder starts a bounded ring of scheduler events and
