@@ -104,7 +104,7 @@ type Stack struct {
 	protoErrs   map[uint8]func(dst ip.Addr, m *icmp.Message)
 	reass       *ip.Reassembler
 	reassTick   *sim.Event
-	nextID      uint16
+	lastID      map[ip.Addr]uint16 // per destination: see allocID
 
 	pings map[uint16]*pingCtx
 }
@@ -121,7 +121,7 @@ func New(sched *sim.Scheduler, hostname string) *Stack {
 		protoErrs:   make(map[uint8]func(ip.Addr, *icmp.Message)),
 		reass:       ip.NewReassembler(),
 		pings:       make(map[uint16]*pingCtx),
-		nextID:      1,
+		lastID:      make(map[ip.Addr]uint16),
 	}
 }
 
@@ -371,7 +371,7 @@ func (s *Stack) Send(proto uint8, src, dst ip.Addr, payload []byte, ttl uint8, t
 	}
 	pkt := &ip.Packet{
 		Header: ip.Header{
-			TOS: tos, ID: s.allocID(), TTL: ttl, Proto: proto, Src: src, Dst: dst,
+			TOS: tos, ID: s.allocID(dst), TTL: ttl, Proto: proto, Src: src, Dst: dst,
 		},
 		Payload: payload,
 	}
@@ -434,7 +434,7 @@ func (s *Stack) SendVia(ifName string, proto uint8, dst ip.Addr, payload []byte,
 	}
 	pkt := &ip.Packet{
 		Header: ip.Header{
-			ID: s.allocID(), TTL: ttl, Proto: proto, Src: e.addr, Dst: dst,
+			ID: s.allocID(dst), TTL: ttl, Proto: proto, Src: e.addr, Dst: dst,
 		},
 		Payload: payload,
 	}
@@ -444,12 +444,19 @@ func (s *Stack) SendVia(ifName string, proto uint8, dst ip.Addr, payload []byte,
 	return nil
 }
 
-func (s *Stack) allocID() uint16 {
-	id := s.nextID
-	s.nextID++
-	if s.nextID == 0 {
-		s.nextID = 1
+// allocID returns the IP ID for the next datagram to dst, counting
+// per destination from 1 and skipping 0 (RFC 6864 §4.2, as Linux
+// does), where 4.3BSD kept one global ip_id. With one counter, the IDs
+// a host hands out depended on the order in which its traffic to
+// different peers interleaved — on the sharded engine, the order of
+// same-instant arrivals from two channels — and an ID that KISS must
+// escape lengthens the frame (DESIGN.md §5).
+func (s *Stack) allocID(dst ip.Addr) uint16 {
+	id := s.lastID[dst] + 1
+	if id == 0 {
+		id = 1
 	}
+	s.lastID[dst] = id
 	return id
 }
 

@@ -373,3 +373,33 @@ func TestRedirectIgnoredByDefaultAndFromStrangers(t *testing.T) {
 		t.Fatal("legitimate redirect ignored")
 	}
 }
+
+// TestIPIDPerDestination: each destination has its own ID sequence, so
+// the IDs toward one peer do not depend on how traffic toward others
+// interleaves with it.
+func TestIPIDPerDestination(t *testing.T) {
+	_, a, _, _, _ := pairUp(t, 1500)
+	ids := map[ip.Addr][]uint16{}
+	a.Taps = append(a.Taps, func(dir string, pkt *ip.Packet, _ string) {
+		if dir == "out" {
+			ids[pkt.Dst] = append(ids[pkt.Dst], pkt.ID)
+		}
+	})
+	b, c := ip.MustAddr("10.0.0.2"), ip.MustAddr("10.0.0.3")
+	for _, dst := range []ip.Addr{b, c, c, b, c} {
+		if err := a.Send(99, ip.Addr{}, dst, []byte("x"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ids[b]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("IDs toward %v: %v, want [1 2]", b, got)
+	}
+	if got := ids[c]; len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Fatalf("IDs toward %v: %v, want [1 2 3]", c, got)
+	}
+	a.lastID[b] = 0xFFFF
+	a.Send(99, ip.Addr{}, b, []byte("x"), 0, 0)
+	if got := ids[b][2]; got != 1 {
+		t.Fatalf("ID after 0xFFFF: %d, want 1 (0 is skipped)", got)
+	}
+}

@@ -20,7 +20,7 @@ const (
 	seattleFatesDigest = "ce863ccc403529d123581816a3f3621dffbebd37a488fc1b7d2108ead1b4af4a"
 	seattleSpansDigest = "2d45e05f21970705fdbb229020de17e0443f7b5e7694620b6e919eeb6cd8436a"
 	seattleTraceDigest = "0133f6c16eb915e2a35f8681e0de96ae0a8b3f3a3913a8535eae34dfd90617a2"
-	resetSpansDigest   = "c5c64ef8009574c86732345324245186c977254e89827b6bcd4fcdc83d7a1bb5"
+	resetSpansDigest   = "4dffab0c4f916fc58f173e8b2ec8041f7eb509613d32363106e2a30f03fb6a8a"
 )
 
 func sha(b []byte) string {
