@@ -161,7 +161,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // HistogramFor returns the named registered histogram, if the name is
-// registered and is a histogram — the accessor Netstat's percentile
+// registered and is a histogram — the accessor WriteText's percentile
 // summaries read through.
 func (r *Registry) HistogramFor(name string) (*Histogram, bool) {
 	if i, ok := r.names[name]; ok && r.entries[i].hist != nil {

@@ -47,9 +47,9 @@ type Accessor interface {
 	// the receive callback. It returns the payload to pass up and
 	// false, or consumed=true to swallow a MAC-level control frame
 	// (polls never reach the TNC). The frame slice is shared — slice
-	// it, do not mutate it. The payload goes up as is when damaged: a
-	// read-only view that no one may retain or mutate. An intact
-	// payload is copied, and the copy is owned by the receiver.
+	// it, do not mutate it. The payload goes up as is, intact or
+	// damaged: return the same sub-slice for every receiver of one
+	// transmission, so they share its verdict (SetReceiver).
 	Deliver(t *Transceiver, frame []byte, damaged bool) (payload []byte, consumed bool)
 
 	// KeyUp is the channel-wide carrier-edge hook: sender just keyed
